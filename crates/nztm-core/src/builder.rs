@@ -1,31 +1,22 @@
 //! [`NzBuilder`]: one front door for constructing engines.
 //!
-//! The builder is **composition-first**: name the algorithm with
-//! [`NzBuilder::algorithm`] (or one of the `build_*` shorthands) and the
-//! builder checks every knob against that composition's axes — invalid
-//! combinations fail at [`NzBuilder::try_build`] with a typed
-//! [`BuildError`] instead of silently misconfiguring an engine. The
-//! expert-mode trait slot is [`NzBuilder::build`]`::<M>`: any
-//! [`ModePolicy`] — i.e. any composition of [`crate::algo`] strategies —
-//! builds through the same checked path, and axis combinations the
-//! engine cannot execute are rejected by the trait bounds at compile
-//! time (a `ModePolicy` must name one type per axis).
+//! Start from the paper's defaults, override the few knobs harnesses
+//! vary (read mode, contention manager, native-HTM policy), and pick
+//! the mode with a `build_*` shorthand or [`NzBuilder::build`]`::<M>`.
+//! Everything else is set by handing an [`NzConfig`] to
+//! [`NzStm::new`] directly.
 //!
 //! Engines are concrete types (`Arc<NzStm<P, M>>`, never `Arc<dyn …>`),
 //! so the compile-time [`ModePolicy`] specialization the paper's §4.4.2
 //! measurements depend on is preserved.
 //!
 //! ```
-//! use nztm_core::{Algo, NzBuilder, ReadMode};
+//! use nztm_core::{NzBuilder, ReadMode};
 //! use nztm_sim::Native;
 //!
 //! let platform = Native::new(1);
 //! platform.register_thread();
-//! let stm = NzBuilder::new(platform)
-//!     .algorithm(Algo::Nzstm)
-//!     .read_mode(ReadMode::Visible)
-//!     .patience(256)
-//!     .build_nzstm();
+//! let stm = NzBuilder::new(platform).read_mode(ReadMode::Visible).build_nzstm();
 //!
 //! let obj = stm.new_obj(1u64);
 //! stm.run(|tx| tx.write(&obj, &2));
@@ -101,85 +92,6 @@ impl BackendKind {
     }
 }
 
-/// The software compositions [`NzBuilder::algorithm`] can name (the
-/// hybrid is assembled by `nztm-htm` around [`Algo::Nzstm`]). Each maps
-/// to one shipped [`ModePolicy`]; the expert-mode escape hatch for
-/// custom compositions is [`NzBuilder::build`]`::<M>`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Algo {
-    /// [`Blocking`] — BZSTM (§2.2).
-    Bzstm,
-    /// [`Nonblocking`] — NZSTM (§2.3.1).
-    Nzstm,
-    /// [`ScssMode`] — NZSTM+SCSS (§2.3.2).
-    Scss,
-    /// [`NorecMode`] — NOrec.
-    Norec,
-}
-
-impl Algo {
-    /// The matching [`ModePolicy::NAME`].
-    pub fn mode_name(self) -> &'static str {
-        match self {
-            Algo::Bzstm => "BZSTM",
-            Algo::Nzstm => "NZSTM",
-            Algo::Scss => "SCSS",
-            Algo::Norec => "NOREC",
-        }
-    }
-
-    /// The composition's axes (see [`crate::algo`]).
-    pub fn composition(self) -> crate::algo::Composition {
-        match self {
-            Algo::Bzstm => crate::algo::Composition::of::<Blocking>(),
-            Algo::Nzstm => crate::algo::Composition::of::<Nonblocking>(),
-            Algo::Scss => crate::algo::Composition::of::<ScssMode>(),
-            Algo::Norec => crate::algo::Composition::of::<NorecMode>(),
-        }
-    }
-}
-
-/// Why [`NzBuilder::try_build`] refused to construct an engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BuildError {
-    /// [`NzBuilder::algorithm`] named one composition but the build
-    /// method instantiated another (e.g. `.algorithm(Algo::Norec)` then
-    /// `.build_nzstm()`).
-    AlgorithmMismatch {
-        /// What [`NzBuilder::algorithm`] asked for.
-        requested: Algo,
-        /// The [`ModePolicy::NAME`] of the mode actually being built.
-        built: &'static str,
-    },
-    /// A configured knob contradicts the composition being built (e.g.
-    /// a read-tracking mode on a value-validating composition).
-    IncompatibleKnob {
-        /// The mode being built ([`ModePolicy::NAME`]).
-        mode: &'static str,
-        /// The builder knob at fault.
-        knob: &'static str,
-        /// Why the combination is meaningless.
-        reason: &'static str,
-    },
-}
-
-impl std::fmt::Display for BuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BuildError::AlgorithmMismatch { requested, built } => write!(
-                f,
-                "algorithm mismatch: builder was configured for {} but asked to build {built}",
-                requested.mode_name()
-            ),
-            BuildError::IncompatibleKnob { mode, knob, reason } => {
-                write!(f, "knob `{knob}` is incompatible with {mode}: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BuildError {}
-
 /// Builder for the software engines. See the [module docs](self).
 ///
 /// Defaults match the paper's configuration: visible reads, Karma +
@@ -188,12 +100,6 @@ pub struct NzBuilder<P: Platform> {
     platform: Arc<P>,
     cm: Arc<dyn ContentionManager>,
     cfg: NzConfig,
-    /// Composition named via [`NzBuilder::algorithm`], checked against
-    /// the mode actually built.
-    algo: Option<Algo>,
-    /// Whether `read_mode` was set explicitly (compatibility checks
-    /// distinguish a deliberate choice from the default).
-    read_mode_set: bool,
 }
 
 impl<P: Platform> NzBuilder<P> {
@@ -203,59 +109,13 @@ impl<P: Platform> NzBuilder<P> {
             platform,
             cm: Arc::new(KarmaDeadlock::default()),
             cfg: NzConfig::default(),
-            algo: None,
-            read_mode_set: false,
         }
     }
 
-    /// Name the composition to build. [`NzBuilder::try_build`] fails
-    /// with [`BuildError::AlgorithmMismatch`] if the build method's mode
-    /// disagrees — so a harness can thread one `Algo` value through
-    /// shared setup code and be sure the engine it gets matches.
-    pub fn algorithm(mut self, algo: Algo) -> Self {
-        self.algo = Some(algo);
-        self
-    }
-
-    /// Visible (paper default) or invisible read tracking. Only
-    /// meaningful for indicator-read compositions; setting it on a
-    /// value-validating composition (NOrec) is a [`BuildError`].
+    /// Visible (paper default) or invisible read tracking. Ignored by
+    /// NOrec, whose value-validating reads are never tracked per object.
     pub fn read_mode(mut self, mode: ReadMode) -> Self {
         self.cfg.read_mode = mode;
-        self.read_mode_set = true;
-        self
-    }
-
-    /// Spin steps to wait for an abort acknowledgement before declaring
-    /// the victim unresponsive (ignored by BZSTM).
-    pub fn patience(mut self, patience: u64) -> Self {
-        self.cfg.patience = patience;
-        self
-    }
-
-    /// Simulated cycles charged per SCSS store (SCSS backend only).
-    pub fn scss_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.scss_cycles = cycles;
-        self
-    }
-
-    /// Thread-placement policy for the shared-metadata layout (registry
-    /// slot lines, striped reader-indicator stripes). The default,
-    /// [`crate::TopologyPolicy::Flat`], reproduces the seed layout
-    /// bit-exactly; `Detect` groups same-NUMA-node threads using the
-    /// host's sysfs map; `Synthetic(n)` imposes an `n`-node round-robin
-    /// machine for simulator placement studies.
-    pub fn topology(mut self, policy: crate::topology::TopologyPolicy) -> Self {
-        self.cfg.topology = policy;
-        self
-    }
-
-    /// Reserve each object's backup-copy lines inside the object's own
-    /// block (object–backup colocation). Off by default; turn on to
-    /// measure the layout against the pooled-backup baseline. A
-    /// [`BuildError`] on backup-free compositions (NOrec).
-    pub fn colocate_backup(mut self, on: bool) -> Self {
-        self.cfg.colocate_backup = on;
         self
     }
 
@@ -282,70 +142,11 @@ impl<P: Platform> NzBuilder<P> {
         self
     }
 
-    /// Arm the flight recorder from construction (no effect unless the
-    /// crate is built with the `trace` feature; see [`crate::trace`]).
-    pub fn tracing(mut self, enabled: bool) -> Self {
-        self.cfg.trace.enabled = enabled;
-        self
-    }
-
-    /// Per-thread flight-recorder ring capacity, in events.
-    pub fn trace_capacity(mut self, events: usize) -> Self {
-        self.cfg.trace.capacity = events;
-        self
-    }
-
-    /// Replace the whole engine configuration (escape hatch; the named
-    /// setters cover the common knobs). Counts as an explicit
-    /// `read_mode` choice for the compatibility checks.
-    pub fn config(mut self, cfg: NzConfig) -> Self {
-        self.read_mode_set = cfg.read_mode != self.cfg.read_mode || self.read_mode_set;
-        self.cfg = cfg;
-        self
-    }
-
-    /// Check the configuration against mode `M` and build the engine.
-    ///
-    /// This is the expert-mode trait slot: `M` may be any
-    /// [`ModePolicy`], i.e. any composition of [`crate::algo`]
-    /// strategies the engine can execute. Fails with a typed
-    /// [`BuildError`] when [`NzBuilder::algorithm`] named a different
-    /// composition or a knob contradicts `M`'s axes.
-    pub fn try_build<M: ModePolicy>(self) -> Result<Arc<NzStm<P, M>>, BuildError> {
-        if let Some(requested) = self.algo {
-            if requested.mode_name() != M::NAME {
-                return Err(BuildError::AlgorithmMismatch { requested, built: M::NAME });
-            }
-        }
-        if M::NOREC {
-            if self.read_mode_set {
-                return Err(BuildError::IncompatibleKnob {
-                    mode: M::NAME,
-                    knob: "read_mode",
-                    reason: "value-validating reads are never tracked per object; \
-                             there is no visible/invisible choice to make",
-                });
-            }
-            if self.cfg.colocate_backup {
-                return Err(BuildError::IncompatibleKnob {
-                    mode: M::NAME,
-                    knob: "colocate_backup",
-                    reason: "a redo-log composition installs no backups to colocate",
-                });
-            }
-        }
-        Ok(NzStm::new(self.platform, self.cm, self.cfg))
-    }
-
-    /// Build an engine of mode `M`, panicking on a [`BuildError`]. Mode
-    /// is usually inferred from the binding
-    /// (`let s: Arc<Bzstm<_>> = …builder….build()`); the per-backend
-    /// helpers below spell it out.
+    /// Build an engine of mode `M`. Mode is usually inferred from the
+    /// binding (`let s: Arc<Bzstm<_>> = …builder….build()`); the
+    /// per-backend helpers below spell it out.
     pub fn build<M: ModePolicy>(self) -> Arc<NzStm<P, M>> {
-        match self.try_build() {
-            Ok(s) => s,
-            Err(e) => panic!("NzBuilder: {e}"),
-        }
+        NzStm::new(self.platform, self.cm, self.cfg)
     }
 
     /// Build the blocking base STM (§2.2).
@@ -389,8 +190,8 @@ mod tests {
         let p = Native::new(1);
         p.register_thread();
         let b = NzBuilder::new(Arc::clone(&p)).build_bzstm();
-        let n = NzBuilder::new(Arc::clone(&p)).patience(64).build_nzstm();
-        let s = NzBuilder::new(Arc::clone(&p)).scss_cycles(10).build_scss();
+        let n = NzBuilder::new(Arc::clone(&p)).build_nzstm();
+        let s = NzBuilder::new(Arc::clone(&p)).build_scss();
         let r = NzBuilder::new(p).build_norec();
         assert_eq!(b.mode_name(), "BZSTM");
         assert_eq!(n.mode_name(), "NZSTM");
@@ -417,74 +218,5 @@ mod tests {
         let s = NzBuilder::new(p).read_mode(ReadMode::Invisible).build_nzstm();
         assert_eq!(s.read_mode(), ReadMode::Invisible);
         assert!(!s.tracing_enabled());
-    }
-
-    #[test]
-    fn algorithm_mismatch_is_a_typed_error() {
-        let p = Native::new(1);
-        let err = NzBuilder::new(p)
-            .algorithm(Algo::Norec)
-            .try_build::<Nonblocking>()
-            .err()
-            .expect("mismatch must fail");
-        assert_eq!(
-            err,
-            BuildError::AlgorithmMismatch { requested: Algo::Norec, built: "NZSTM" }
-        );
-        assert!(err.to_string().contains("NOREC"));
-    }
-
-    #[test]
-    fn algorithm_match_builds() {
-        let p = Native::new(1);
-        p.register_thread();
-        let s = NzBuilder::new(p)
-            .algorithm(Algo::Norec)
-            .try_build::<NorecMode>()
-            .expect("matching composition builds");
-        assert_eq!(s.mode_name(), "NOREC");
-    }
-
-    #[test]
-    fn incompatible_knobs_fail_with_typed_errors() {
-        let p = Native::new(1);
-        let err = NzBuilder::new(Arc::clone(&p))
-            .read_mode(ReadMode::Invisible)
-            .try_build::<NorecMode>()
-            .err()
-            .expect("read_mode on NOrec must fail");
-        assert!(matches!(
-            err,
-            BuildError::IncompatibleKnob { mode: "NOREC", knob: "read_mode", .. }
-        ));
-        let err = NzBuilder::new(p)
-            .colocate_backup(true)
-            .try_build::<NorecMode>()
-            .err()
-            .expect("colocate_backup on NOrec must fail");
-        assert!(matches!(
-            err,
-            BuildError::IncompatibleKnob { mode: "NOREC", knob: "colocate_backup", .. }
-        ));
-    }
-
-    #[test]
-    fn default_knobs_build_norec() {
-        let p = Native::new(1);
-        p.register_thread();
-        // The *default* read mode is not an explicit choice: plain
-        // builders construct NOrec fine.
-        let s = NzBuilder::new(p).patience(256).build_norec();
-        assert_eq!(s.mode_name(), "NOREC");
-    }
-
-    #[test]
-    fn every_algo_names_a_shipped_composition() {
-        for a in [Algo::Bzstm, Algo::Nzstm, Algo::Scss, Algo::Norec] {
-            let c = a.composition();
-            assert!(!c.reads.is_empty());
-            // The Algo names line up with BackendKind's software rows.
-            assert!(BackendKind::parse(a.mode_name()).is_some());
-        }
     }
 }

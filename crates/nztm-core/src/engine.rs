@@ -35,7 +35,6 @@ use crate::txn::{Abort, AbortCause, Status, TxnDesc};
 use crate::util::{Backoff, InlineVec, PerCore, SlotIndex};
 use nztm_epoch::Guard;
 use nztm_sim::{AccessKind, DetRng, Platform};
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -78,91 +77,67 @@ macro_rules! trace_evt {
     }};
 }
 
-/// Compile-time selection of the engine variant: a *composition* of one
-/// type per algorithm axis (see [`crate::algo`]) plus the protocol knobs
-/// the ownership compositions differentiate on.
+/// Compile-time selection of the engine variant.
 ///
-/// The engine gates per-axis code paths on the axes' `const`
-/// discriminators (surfaced here as [`ModePolicy::NOREC`]), so a
-/// composition that does not use an axis compiles it away entirely —
-/// BZSTM really contains no inflation-tag checks (§4.4.2's 2–5%), and
-/// the ownership modes really contain no global-clock traffic.
+/// The engine gates code paths on these `const`s, so a mode that does
+/// not use a path compiles it away entirely — BZSTM really contains no
+/// inflation-tag checks (§4.4.2's 2–5%), and the ownership modes really
+/// contain no global-clock traffic.
 pub trait ModePolicy: Send + Sync + 'static {
-    /// How reads are tracked ([`crate::algo::ReadStrategy`]).
-    type Reads: crate::algo::ReadStrategy;
-    /// Where speculative writes live ([`crate::algo::LogRepr`]).
-    type Log: crate::algo::LogRepr;
-    /// Whether objects carry backups ([`crate::algo::BackupPolicy`]).
-    type Backup: crate::algo::BackupPolicy;
-    /// How commit serializes ([`crate::algo::CommitProtocol`]).
-    type Commit: crate::algo::CommitProtocol;
     /// Give up waiting for an abort acknowledgement after `patience`
     /// steps (inflate / SCSS-barrier). `false` = BZSTM.
     const NONBLOCKING: bool;
     /// Pair every data store with an AbortNowPlease check (SCSS).
     const SCSS: bool;
-    /// Derived master gate for the NOrec path: value-validated reads +
-    /// redo log + global sequence lock travel together (a global-clock
-    /// commit is only sound when nothing is dirtied in place and reads
-    /// revalidate by value), so the commit protocol's discriminator
-    /// selects the whole path.
-    const NOREC: bool = <Self::Commit as crate::algo::CommitProtocol>::GLOBAL_SEQLOCK;
+    /// Master gate for the NOrec path: value-validated reads, redo log
+    /// and global sequence lock travel together (a global-clock commit
+    /// is only sound when nothing is dirtied in place and reads
+    /// revalidate by value), so one discriminator selects the whole path.
+    const NOREC: bool;
     const NAME: &'static str;
 }
 
 /// BZSTM: the blocking base algorithm of §2.2.
 pub struct Blocking;
 impl ModePolicy for Blocking {
-    type Reads = crate::algo::VisibleIndicator;
-    type Log = crate::algo::EagerWriteBack;
-    type Backup = crate::algo::ZeroIndirectionBackup;
-    type Commit = crate::algo::OwnerCas;
     const NONBLOCKING: bool = false;
     const SCSS: bool = false;
+    const NOREC: bool = false;
     const NAME: &'static str = "BZSTM";
 }
 
 /// NZSTM: nonblocking via inflation (§2.3.1).
 pub struct Nonblocking;
 impl ModePolicy for Nonblocking {
-    type Reads = crate::algo::VisibleIndicator;
-    type Log = crate::algo::EagerWriteBack;
-    type Backup = crate::algo::ZeroIndirectionBackup;
-    type Commit = crate::algo::OwnerCas;
     const NONBLOCKING: bool = true;
     const SCSS: bool = false;
+    const NOREC: bool = false;
     const NAME: &'static str = "NZSTM";
 }
 
 /// NZSTM+SCSS: nonblocking via Single-Compare Single-Store (§2.3.2).
 pub struct ScssMode;
 impl ModePolicy for ScssMode {
-    type Reads = crate::algo::VisibleIndicator;
-    type Log = crate::algo::EagerWriteBack;
-    type Backup = crate::algo::ZeroIndirectionBackup;
-    type Commit = crate::algo::OwnerCas;
     const NONBLOCKING: bool = true;
     const SCSS: bool = true;
+    const NOREC: bool = false;
     const NAME: &'static str = "SCSS";
 }
 
 /// NOrec: one global sequence lock, value-based validation, lazy redo
 /// writes (Dalessandro, Spear & Scott, PPoPP 2010) — the progressive,
-/// ownership-free point in the design space, composed from the same
-/// kernel as the NZTM family. Blocking (a preempted committer stalls the
-/// clock), but with no per-object metadata traffic at all: reads log
-/// values, writes buffer in a redo log, and the only shared-write beyond
-/// data itself is the clock CAS at commit.
+/// ownership-free point in the design space, run by the same engine as
+/// the NZTM family. Blocking (a preempted committer stalls the clock),
+/// but with no per-object metadata traffic at all: reads log values,
+/// writes buffer in a redo log, and the only shared-write beyond data
+/// itself is the clock CAS at commit.
 pub struct NorecMode;
 impl ModePolicy for NorecMode {
-    type Reads = crate::algo::ValueValidation;
-    type Log = crate::algo::RedoLog;
-    type Backup = crate::algo::NoBackup;
-    type Commit = crate::algo::GlobalSeqLock;
     // Ownership-protocol knobs; never consulted on the NOrec path (which
     // bypasses owner words, inflation, and SCSS stores entirely).
     const NONBLOCKING: bool = false;
     const SCSS: bool = false;
+    const NOREC: bool = true;
     const NAME: &'static str = "NOREC";
 }
 
@@ -227,17 +202,6 @@ pub struct NzConfig {
     /// Extra cycles charged per SCSS store on simulated platforms (models
     /// the short hardware transaction's latency).
     pub scss_cycles: u64,
-    /// How thread placement is derived for the layout of shared
-    /// metadata (registry slot lines, striped reader-indicator stripe
-    /// assignment). [`crate::topology::TopologyPolicy::Flat`] (the default) is the seed
-    /// layout, bit-exact; see [`crate::topology`].
-    pub topology: crate::topology::TopologyPolicy,
-    /// Reserve each object's backup-copy lines inside the object's own
-    /// synthetic block and keep a resident buffer bound to them
-    /// ([`crate::object::ObjectLayout::colocate_backup`]). Off by
-    /// default: backups then live wherever the per-thread pool's
-    /// buffers were allocated.
-    pub colocate_backup: bool,
     /// Flight-recorder configuration (inert without the `trace` feature).
     pub trace: TraceConfig,
     /// Native-HTM policy for hybrids assembled over this engine (the
@@ -257,8 +221,6 @@ impl Default for NzConfig {
             patience: 128,
             read_mode: ReadMode::Visible,
             scss_cycles: 25,
-            topology: crate::topology::TopologyPolicy::Flat,
-            colocate_backup: false,
             trace: TraceConfig::default(),
             native_htm: NativeHtmPolicy::default(),
             #[cfg(feature = "sanitize")]
@@ -322,8 +284,7 @@ fn norec_unpack(version: u64) -> (usize, usize) {
 /// Buffers enter the pool exclusively via commit-time `take_backup`,
 /// where the installer is the committing transaction itself — so every
 /// pooled buffer's installer is **Committed**. It stays that way while
-/// pooled: the pooled buffer's own strong count on the installer pins it
-/// (a committed descriptor is never recycled while referenced), and
+/// pooled: a settled descriptor never changes status again, and
 /// `set_installer` is only called on buffers being adopted or installed,
 /// never on detached ones. Debug builds assert the invariant on both
 /// `put` and `take`.
@@ -381,21 +342,6 @@ impl BackupPool {
     }
 }
 
-/// Depth bound of the per-thread descriptor free list. Must comfortably
-/// exceed the number of attempts whose deferred releases (registry slot,
-/// owner words, installer fields) can still be in flight through the
-/// epoch's throttled collection, so recycling reaches a steady state.
-const DESC_POOL_DEPTH: usize = 64;
-/// How many free-list candidates `begin` probes for sole ownership.
-const DESC_SCAN: usize = 4;
-/// Probing starts only once the list holds this many retirees, so the
-/// front candidate is at least `DESC_MIN` attempts old — comfortably past
-/// the epoch-drain lag of its deferred references (registry slot ~1
-/// attempt + collect interval; owner words: until the object's next
-/// acquisition). Costs nothing at steady state; it only delays the very
-/// first recycling hits after startup.
-const DESC_MIN: usize = 32;
-
 /// Inline capacity of the read/write sets (entries beyond this spill to
 /// the heap once, then reuse the spill capacity).
 const INLINE_SET: usize = 8;
@@ -409,13 +355,6 @@ struct ThreadCtx {
     read_index: SlotIndex,
     /// Header address → write_set slot: O(1) already-acquired checks.
     write_index: SlotIndex,
-    /// Retired descriptors awaiting recycling (oldest first). A candidate
-    /// is reused only when `Arc::get_mut` proves sole ownership — the
-    /// ABA-freedom argument lives in `txn.rs`'s module docs. Candidates
-    /// that fail the probe (still referenced by an owner word of an
-    /// object not yet re-acquired) rotate to the back so they cannot
-    /// clog the scan window.
-    free_descs: VecDeque<Arc<TxnDesc>>,
     pool: BackupPool,
     rng: DetRng,
     backoff: Backoff,
@@ -458,7 +397,6 @@ impl ThreadCtx {
             write_set: InlineVec::new(),
             read_index: SlotIndex::new(),
             write_index: SlotIndex::new(),
-            free_descs: VecDeque::with_capacity(DESC_POOL_DEPTH),
             pool: BackupPool::default(),
             rng: DetRng::new(0x5EED_0000 + tid as u64),
             backoff: Backoff::new(),
@@ -494,7 +432,7 @@ fn push_write(ctx: &mut ThreadCtx, entry: WriteEntry) {
 
 /// NOrec's global sequence lock, on its own cache line (every committer
 /// writes it; every reader polls it — the one genuinely global word of
-/// that composition). Even = unlocked (the value doubles as the snapshot
+/// that mode). Even = unlocked (the value doubles as the snapshot
 /// clock); odd = a writer is inside its commit write-back window.
 #[repr(align(128))]
 struct NorecClock {
@@ -526,10 +464,6 @@ pub struct NzStm<P: Platform, M: ModePolicy> {
     platform: Arc<P>,
     cm: Arc<dyn ContentionManager>,
     registry: ThreadRegistry,
-    /// Layout directives handed to every [`NzStm::new_obj`] allocation
-    /// (reader capacity, topology placement, backup colocation) —
-    /// resolved once from [`NzConfig`] at construction.
-    layout: crate::object::ObjectLayout,
     threads: PerCore<ThreadCtx>,
     /// Per-thread counter cells, shared with each `ThreadCtx`. Read side
     /// of [`NzStm::stats_snapshot`] — safe to merge at any time.
@@ -547,8 +481,9 @@ pub struct NzStm<P: Platform, M: ModePolicy> {
 }
 
 impl<P: Platform, M: ModePolicy> NzStm<P, M> {
-    /// Assemble an engine from parts. Prefer [`crate::NzBuilder`], which
-    /// names the knobs and picks paper defaults for the rest.
+    /// Assemble an engine from parts. [`crate::NzBuilder`] is the
+    /// shorthand when the paper-default [`NzConfig`] (give or take the
+    /// read mode, contention manager and native-HTM policy) is wanted.
     pub fn new(platform: Arc<P>, cm: Arc<dyn ContentionManager>, cfg: NzConfig) -> Arc<Self> {
         let n = platform.n_cores();
         let thread_stats: Box<[Arc<ThreadStats>]> =
@@ -556,17 +491,10 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         let trace_capacity = cfg.trace.capacity;
         #[cfg(feature = "trace")]
         let trace_on = std::sync::atomic::AtomicBool::new(cfg.trace.enabled);
-        let placement = cfg.topology.resolve(n);
-        let layout = crate::object::ObjectLayout {
-            reader_capacity: n,
-            placement: placement.clone(),
-            colocate_backup: cfg.colocate_backup,
-        };
         Arc::new(NzStm {
             platform,
             cm,
-            registry: ThreadRegistry::with_placement(n, placement),
-            layout,
+            registry: ThreadRegistry::new(n),
             threads: PerCore::new(n, |tid| {
                 ThreadCtx::new(tid, Arc::clone(&thread_stats[tid]), trace_capacity)
             }),
@@ -600,17 +528,14 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         self.cfg.native_htm
     }
 
-    /// Allocate a transactional object under this engine's layout.
+    /// Allocate a transactional object.
     ///
     /// The reader indicator is sized for this engine's thread count: on
     /// platforms with ≤ 64 threads the object keeps the paper's inline
     /// bitmap word (bit-for-bit the seed layout); wider platforms get a
-    /// striped indicator so reads scale past 64 threads. The engine's
-    /// topology placement and backup-colocation knobs
-    /// ([`NzConfig::topology`], [`NzConfig::colocate_backup`]) are
-    /// applied as configured.
+    /// striped indicator so reads scale past 64 threads.
     pub fn new_obj<T: TmData>(&self, init: T) -> Arc<NZObject<T>> {
-        NZObject::new_with_layout(init, &self.layout)
+        NZObject::new_with_capacity(init, self.registry.len())
     }
 
     /// Merge per-thread statistics into a report. Safe to call from any
@@ -724,43 +649,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     /// Execute `f` as a transaction, retrying until it commits. Returns
     /// `f`'s result from the committed attempt.
     pub fn run<R>(&self, mut f: impl FnMut(&mut NzTx<P, M>) -> Result<R, Abort>) -> R {
-        let tid = self.platform.core_id();
-        // Safety: `tid` is the calling thread's own core id.
-        let ctx = unsafe { self.threads.get(tid) };
-        let mut had_abort = false;
-        loop {
-            self.begin(ctx, tid);
-            let mut tx =
-                NzTx { sys: self as *const NzStm<P, M>, ctx: ctx as *mut ThreadCtx, tid };
-            match f(&mut tx) {
-                Ok(r) => {
-                    if self.commit(ctx, tid) {
-                        ctx.backoff.reset();
-                        if had_abort {
-                            ctx.stats.txns_with_aborts.bump();
-                        }
-                        return r;
-                    }
-                    had_abort = true;
-                }
-                Err(Abort(cause)) => {
-                    self.abort_txn(ctx, tid, cause);
-                    had_abort = true;
-                }
-            }
-            // Randomized exponential backoff between attempts breaks the
-            // symmetric-retry livelock obstruction-freedom permits. An
-            // adaptive CM may move the window cap with the observed
-            // conflict rate; `set_cap` clamps to `Backoff::MAX_CAP_EXP`,
-            // so policy can never unbound the stall.
-            if let Some(cap) = self.cm.backoff_cap(tid as u32) {
-                ctx.backoff.set_cap(cap);
-            }
-            let steps = ctx.backoff.steps(ctx.rng.next_u64());
-            for _ in 0..steps {
-                self.platform.spin_wait();
-            }
-        }
+        self.run_attempts(|tx| f(tx).map(Some)).expect("only `run_until_crash` attempts crash")
     }
 
     /// Testing support: execute `f` as transaction attempts exactly like
@@ -778,11 +667,22 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     /// asserts exactly that.
     pub fn run_until_crash<R>(
         &self,
+        f: impl FnMut(&mut NzTx<P, M>) -> Result<Option<R>, Abort>,
+    ) -> Option<R> {
+        self.run_attempts(f)
+    }
+
+    /// The one retry loop: begin, run `f`, commit or abort, back off,
+    /// repeat. `Ok(None)` from `f` abandons the attempt in place (the
+    /// [`NzStm::run_until_crash`] hook) and ends the loop with `None`.
+    fn run_attempts<R>(
+        &self,
         mut f: impl FnMut(&mut NzTx<P, M>) -> Result<Option<R>, Abort>,
     ) -> Option<R> {
         let tid = self.platform.core_id();
         // Safety: `tid` is the calling thread's own core id.
         let ctx = unsafe { self.threads.get(tid) };
+        let mut had_abort = false;
         loop {
             self.begin(ctx, tid);
             let mut tx =
@@ -791,12 +691,21 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 Ok(Some(r)) => {
                     if self.commit(ctx, tid) {
                         ctx.backoff.reset();
+                        if had_abort {
+                            ctx.stats.txns_with_aborts.bump();
+                        }
                         return Some(r);
                     }
                 }
                 Ok(None) => return None,
                 Err(Abort(cause)) => self.abort_txn(ctx, tid, cause),
             }
+            had_abort = true;
+            // Randomized exponential backoff between attempts breaks the
+            // symmetric-retry livelock obstruction-freedom permits. An
+            // adaptive CM may move the window cap with the observed
+            // conflict rate; `set_cap` clamps to `Backoff::MAX_CAP_EXP`,
+            // so policy can never unbound the stall.
             if let Some(cap) = self.cm.backoff_cap(tid as u32) {
                 ctx.backoff.set_cap(cap);
             }
@@ -807,58 +716,14 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         }
     }
 
-    /// Start an attempt: retire the previous descriptor and produce a
-    /// logically fresh one (§2.2).
-    ///
-    /// Descriptor lifecycle and the epoch-drain lag: a retired
-    /// descriptor enters [`ThreadCtx::free_descs`] immediately, but
-    /// shared references to it (its registry slot, owner words of
-    /// objects it acquired, installer fields of their backups) drain
-    /// asynchronously — the registry slot within ~1 attempt plus the
-    /// epoch's throttled collect interval, owner words only at each
-    /// object's *next* acquisition. Recycling therefore probes the
-    /// oldest [`DESC_SCAN`] retirees for sole ownership
-    /// (`Arc::get_mut`: strong == 1, weak == 0) — the gate that makes
-    /// owner-word ABA impossible (see txn.rs, "Recycling and the ABA
-    /// argument") — and only once the list holds [`DESC_MIN`] entries,
-    /// so the front candidate is old enough to have drained. Failed
-    /// probes rotate to the back: a descriptor pinned by a
-    /// rarely-rewritten object's owner word must not block the ones
-    /// behind it.
+    /// Start an attempt with a fresh descriptor (§2.2). `Arc` because
+    /// object owner fields and the registry take strong counts; the
+    /// previous attempt's descriptor is freed once the last of those
+    /// drains through the epoch.
     fn begin(&self, ctx: &mut ThreadCtx, tid: usize) {
         ctx.serial += 1;
-        if let Some(prev) = ctx.current.take() {
-            if ctx.free_descs.len() < DESC_POOL_DEPTH {
-                ctx.free_descs.push_back(prev);
-            }
-        }
-        // Arc because object owner fields and the registry take strong
-        // counts.
-        let mut recycled = None;
-        let probes = if ctx.free_descs.len() >= DESC_MIN { DESC_SCAN } else { 0 };
-        for _ in 0..probes {
-            let Some(front) = ctx.free_descs.front_mut() else { break };
-            if Arc::get_mut(front).is_some() {
-                let mut d = ctx.free_descs.pop_front().expect("front exists");
-                Arc::get_mut(&mut d)
-                    .expect("sole ownership verified above")
-                    .reset_for_attempt(tid as u32, ctx.serial);
-                recycled = Some(d);
-                break;
-            }
-            let d = ctx.free_descs.pop_front().expect("front exists");
-            ctx.free_descs.push_back(d);
-        }
-        let desc = match recycled {
-            Some(d) => {
-                hot_stat!(ctx, descriptor_reused);
-                d
-            }
-            None => {
-                hot_stat!(ctx, descriptor_alloc);
-                Arc::new(TxnDesc::new(tid as u32, ctx.serial))
-            }
-        };
+        hot_stat!(ctx, descriptor_alloc);
+        let desc = Arc::new(TxnDesc::new(tid as u32, ctx.serial));
         let guard = nztm_epoch::pin();
         self.registry.publish(tid, &desc, &guard);
         self.platform.mem(self.registry.slot_addr(tid), 8, AccessKind::Write);
@@ -963,15 +828,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             if let WriteTarget::InPlace { backup_raw } = w.target {
                 self.platform.mem_nb(w.obj.header().addr(), 8, AccessKind::Rmw);
                 if let Some(buf) = w.obj.header().take_backup(backup_raw) {
-                    match w.obj.resident_backup() {
-                        // A colocated resident buffer returns to its
-                        // object (dropping our count frees it for the
-                        // next acquirer), never to the pool — pooled
-                        // buffers wander to other objects and threads,
-                        // which is exactly what colocation avoids.
-                        Some(r) if Arc::ptr_eq(r, &buf) => drop(buf),
-                        _ => ctx.pool.put(buf),
-                    }
+                    ctx.pool.put(buf);
                 }
             }
         }
@@ -1441,30 +1298,17 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             }
             braw
         } else {
-            // Create a backup copy of the (valid) current data. A
-            // colocated layout prefers the object's own resident buffer
-            // (lines adjacent to the data being shadowed); strong count
-            // 1 proves it is free — not installed on the object, not in
-            // any pool, no stale reader still holding it — and nobody
-            // can clone it concurrently (clones only come from the
-            // backup field, where it is not). Falls back to the pool
-            // when the resident buffer is still in flight.
-            let resident = obj.resident_backup().filter(|b| Arc::strong_count(b) == 1);
-            let buf = match resident {
+            // Create a backup copy of the (valid) current data, in a
+            // buffer from the thread-local pool when it has one.
+            let buf = match ctx.pool.take(n) {
                 Some(b) => {
                     hot_stat!(ctx, backup_reused);
-                    Arc::clone(b)
+                    b
                 }
-                None => match ctx.pool.take(n) {
-                    Some(b) => {
-                        hot_stat!(ctx, backup_reused);
-                        b
-                    }
-                    None => {
-                        hot_stat!(ctx, backup_alloc);
-                        WordBuf::zeroed(n)
-                    }
-                },
+                None => {
+                    hot_stat!(ctx, backup_alloc);
+                    WordBuf::zeroed(n)
+                }
             };
             buf.set_installer(&me, guard);
             self.platform.mem_nb(obj.data_addr(), n * 8, AccessKind::Read);

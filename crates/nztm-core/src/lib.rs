@@ -16,9 +16,8 @@
 //!   writer's own AbortNowPlease flag (Single-Compare Single-Store,
 //!   emulated as a short atomic section).
 //! * [`Norec`] — NOrec (value-based validation, lazy redo writes, one
-//!   global sequence lock), composed from the same kernel: proof that an
-//!   algorithm here is a [composition](algo) of per-axis strategies, not
-//!   a fork of the engine.
+//!   global sequence lock), run by the same engine behind the
+//!   [`ModePolicy::NOREC`] gate: the minimal-metadata reference point.
 //! * [`hybrid`] — hooks for the NZTM hybrid (§2.4), used by the
 //!   `nztm-htm` crate's best-effort hardware path.
 //!
@@ -59,7 +58,6 @@
 //! the paper's simulator experiments.
 
 pub mod adt;
-pub mod algo;
 pub mod builder;
 pub mod cm;
 pub mod data;
@@ -72,14 +70,12 @@ pub mod registry;
 pub mod runtime;
 pub mod sanitizer;
 pub mod stats;
-pub mod topology;
 pub mod trace;
 pub mod txn;
 pub mod util;
 
 pub use adt::{AdtOpDesc, AdtOpKind};
-pub use algo::{BackupPolicy, CommitProtocol, Composition, LogRepr, ReadStrategy};
-pub use builder::{Algo, BackendKind, BuildError, NzBuilder};
+pub use builder::{BackendKind, NzBuilder};
 pub use data::{FieldWord, TmData, WordArray};
 pub use engine::{
     Blocking, ModePolicy, NativeHtmPolicy, Nonblocking, NorecMode, NzConfig, NzStm, NzTx,
@@ -89,7 +85,6 @@ pub use object::{NZObject, NzObjAny, WordBuf};
 pub use readers::{ReaderIndicator, ReaderVisit};
 pub use runtime::{Handle, ObjPool, TmSys};
 pub use stats::{ThreadStats, TmStats};
-pub use topology::{Placement, Topology, TopologyPolicy};
 pub use trace::{EventKind, ObjectHeat, Trace, TraceEvent};
 pub use txn::{Abort, AbortCause, Status, TxnDesc};
 

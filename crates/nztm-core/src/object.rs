@@ -46,41 +46,10 @@
 use crate::data::{TmData, WordArray};
 use crate::locator::Locator;
 use crate::readers::ReaderIndicator;
-use crate::topology::Placement;
 use crate::txn::TxnDesc;
 use nztm_epoch::Guard;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Memory-layout directives for object allocation. Engines build one
-/// from their configuration ([`crate::NzConfig`]) and thread it through
-/// [`NZObject::new_with_layout`]; the default reproduces the seed
-/// layout exactly.
-#[derive(Clone)]
-pub struct ObjectLayout {
-    /// Reader-indicator capacity in threads (≤ 64 keeps the paper's
-    /// inline bitmap).
-    pub reader_capacity: usize,
-    /// Topology placement for striped reader indicators (`None` =
-    /// legacy interleaved striping; see [`crate::topology`]).
-    pub placement: Option<Arc<Placement>>,
-    /// Reserve lines for the object's backup copy *inside* the object's
-    /// own synthetic block, directly after the data words, and keep a
-    /// resident buffer bound to them. Off by default: backups then come
-    /// from the per-thread pool at whatever lines the pool's buffers
-    /// were born at (the seed behaviour).
-    pub colocate_backup: bool,
-}
-
-impl Default for ObjectLayout {
-    fn default() -> Self {
-        ObjectLayout {
-            reader_capacity: crate::readers::FLAT_CAPACITY,
-            placement: None,
-            colocate_backup: false,
-        }
-    }
-}
 
 // Monomorphic release functions for the epoch's allocation-free
 // `defer_fn` path: the argument is a raw pointer (one strong count)
@@ -147,15 +116,8 @@ impl WordBuf {
     }
 
     pub fn zeroed(len: usize) -> Arc<Self> {
-        Self::zeroed_at(len, nztm_sim::synth_alloc_as(Self::cap_for(len) * 8, nztm_sim::StructClass::WordBufs))
-    }
-
-    /// A zeroed buffer charged at the caller-provided synthetic address
-    /// (backup colocation: the address points into the owning object's
-    /// own block, so backup traffic lands on lines adjacent to the
-    /// data it shadows).
-    pub(crate) fn zeroed_at(len: usize, synth: usize) -> Arc<Self> {
         let cap = Self::cap_for(len);
+        let synth = nztm_sim::synth_alloc_as(cap * 8, nztm_sim::StructClass::WordBufs);
         // Safety: AtomicU64 is valid when zero-initialized.
         let ptr = unsafe { std::alloc::alloc_zeroed(Self::layout(cap)) } as *mut AtomicU64;
         let ptr = std::ptr::NonNull::new(ptr).expect("WordBuf allocation failed");
@@ -299,20 +261,10 @@ impl NZHeader {
     /// `reader_capacity` threads. Capacities ≤ 64 keep the flat in-line
     /// bitmap; larger ones allocate a striped indicator.
     pub fn with_synth_capacity(synth: usize, reader_capacity: usize) -> Self {
-        Self::with_synth_placement(synth, reader_capacity, None)
-    }
-
-    /// [`NZHeader::with_synth_capacity`] with a topology placement for
-    /// the (striped) reader indicator; flat indicators ignore it.
-    pub fn with_synth_placement(
-        synth: usize,
-        reader_capacity: usize,
-        placement: Option<Arc<Placement>>,
-    ) -> Self {
         NZHeader {
             owner: AtomicU64::new(0),
             backup: AtomicU64::new(0),
-            readers: ReaderIndicator::with_placement(reader_capacity, synth, placement),
+            readers: ReaderIndicator::new(reader_capacity, synth),
             version: AtomicU64::new(0),
             synth,
         }
@@ -562,13 +514,6 @@ fn drop_owner_word_now(raw: u64) {
 pub struct NZObject<T: TmData> {
     header: NZHeader,
     data: T::Words,
-    /// Colocated-backup layouts only: a buffer bound to the reserved
-    /// backup lines at the tail of this object's own synthetic block.
-    /// The engine prefers it over the pool when creating this object's
-    /// backup, so undo copies stay adjacent to the data they shadow.
-    /// `Arc::strong_count == 1` ⇔ free (not installed anywhere, not in
-    /// any pool).
-    resident: Option<Arc<WordBuf>>,
 }
 
 impl<T: TmData> NZObject<T> {
@@ -584,45 +529,18 @@ impl<T: TmData> NZObject<T> {
     /// same layout, same synthetic-address consumption — so engines can
     /// thread their platform's thread count through unconditionally.
     pub fn new_with_capacity(init: T, reader_capacity: usize) -> Arc<Self> {
-        Self::new_with_layout(init, &ObjectLayout { reader_capacity, ..ObjectLayout::default() })
-    }
-
-    /// Allocate under explicit [`ObjectLayout`] directives. The default
-    /// layout is byte-identical (same synthetic-address consumption) to
-    /// [`NZObject::new`].
-    pub fn new_with_layout(init: T, layout: &ObjectLayout) -> Arc<Self> {
         let obj_bytes = 32 + T::n_words() * 8;
-        // Colocated backup: reserve whole lines for the backup copy at
-        // the tail of the same block, starting on its own line so backup
-        // stores never invalidate a line the in-place data lives on.
-        let backup_off = obj_bytes.div_ceil(64) * 64;
-        let total =
-            if layout.colocate_backup { backup_off + T::n_words() * 8 } else { obj_bytes };
-        let base = nztm_sim::synth_alloc(total);
+        let base = nztm_sim::synth_alloc(obj_bytes);
         // Attribution split: the first line holds the header words (plus
         // any data words collocated on it — the zero-indirection layout);
-        // lines past it are pure data, then the backup region (charged
-        // as word-buffer traffic, whatever its placement).
+        // lines past it are pure data.
         nztm_sim::tag_synth_range(base, obj_bytes.min(64), nztm_sim::StructClass::ObjHeaders);
         if obj_bytes > 64 {
             nztm_sim::tag_synth_range(base + 64, obj_bytes - 64, nztm_sim::StructClass::ObjData);
         }
-        let resident = layout.colocate_backup.then(|| {
-            nztm_sim::tag_synth_range(
-                base + backup_off,
-                T::n_words() * 8,
-                nztm_sim::StructClass::WordBufs,
-            );
-            WordBuf::zeroed_at(T::n_words(), base + backup_off)
-        });
         let obj: NZObject<T> = NZObject {
-            header: NZHeader::with_synth_placement(
-                base,
-                layout.reader_capacity,
-                layout.placement.clone(),
-            ),
+            header: NZHeader::with_synth_capacity(base, reader_capacity),
             data: T::Words::new_zeroed(),
-            resident,
         };
         let mut buf = vec![0u64; T::n_words()];
         init.encode(&mut buf);
@@ -642,12 +560,6 @@ impl<T: TmData> NZObject<T> {
     /// Synthetic address of the first data word (cache charging).
     pub fn data_addr(&self) -> usize {
         self.header.data_synth()
-    }
-
-    /// The colocated resident backup buffer, when this object was
-    /// allocated with [`ObjectLayout::colocate_backup`].
-    pub fn resident_backup(&self) -> Option<&Arc<WordBuf>> {
-        self.resident.as_ref()
     }
 
     /// Non-transactional read of the object's **logical** value, derived
@@ -682,8 +594,6 @@ pub trait NzObjAny: Send + Sync {
     fn header(&self) -> &NZHeader;
     fn data_words(&self) -> &[AtomicU64];
     fn data_addr(&self) -> usize;
-    /// Colocated resident backup buffer, if the layout reserved one.
-    fn resident_backup(&self) -> Option<&Arc<WordBuf>>;
 }
 
 impl<T: TmData> NzObjAny for NZObject<T> {
@@ -695,9 +605,6 @@ impl<T: TmData> NzObjAny for NZObject<T> {
     }
     fn data_addr(&self) -> usize {
         self.header.data_synth()
-    }
-    fn resident_backup(&self) -> Option<&Arc<WordBuf>> {
-        self.resident.as_ref()
     }
 }
 
@@ -841,44 +748,15 @@ mod tests {
         assert_ne!(h.reader_word_addr(1) >> 6, h.reader_word_addr(0) >> 6);
     }
 
-    #[derive(Clone)]
-    struct Wide([u64; 12]);
-    impl TmData for Wide {
-        type Words = [AtomicU64; 12];
-        fn encode(&self, out: &mut [u64]) {
-            out.copy_from_slice(&self.0);
-        }
-        fn decode(words: &[u64]) -> Self {
-            let mut a = [0u64; 12];
-            a.copy_from_slice(words);
-            Wide(a)
-        }
-    }
-
-    #[test]
-    fn colocated_backup_lives_in_the_object_block() {
-        let layout = ObjectLayout { colocate_backup: true, ..ObjectLayout::default() };
-        let o = NZObject::new_with_layout(Wide([1; 12]), &layout);
-        let b = o.resident_backup().expect("layout reserved a resident backup");
-        // Object lines: header+data = 32 + 96 = 128 bytes → 2 lines;
-        // the backup starts exactly on the next line of the same block.
-        assert_eq!(b.addr(), o.header().addr() + 128);
-        assert_eq!(b.len(), 12);
-        assert_eq!(Arc::strong_count(b), 1, "resident buffer starts free");
-        // Default layout reserves nothing.
-        let plain = NZObject::new(Wide([1; 12]));
-        assert!(plain.resident_backup().is_none());
-    }
-
     #[test]
     fn default_layout_is_seed_identical() {
-        // Allocating via the layout path must consume exactly the same
-        // synthetic lines as the plain constructor: equal strides
-        // between consecutive objects.
+        // Allocating with an explicit flat capacity must consume exactly
+        // the same synthetic lines as the plain constructor: equal
+        // strides between consecutive objects.
         let a = NZObject::new(7u64);
         let b = NZObject::new(7u64);
-        let c = NZObject::new_with_layout(7u64, &ObjectLayout::default());
-        let d = NZObject::new_with_layout(7u64, &ObjectLayout::default());
+        let c = NZObject::new_with_capacity(7u64, 8);
+        let d = NZObject::new_with_capacity(7u64, 8);
         assert_eq!(
             b.header().addr() - a.header().addr(),
             d.header().addr() - c.header().addr()

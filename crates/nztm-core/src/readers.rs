@@ -46,28 +46,11 @@
 //! (reader: publish bit → load owner; writer: CAS owner → enumerate
 //! readers) relies on a single total order of metadata operations.
 
-use crate::topology::Placement;
 use crate::util::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Capacity of the flat (single-word) representation.
 pub const FLAT_CAPACITY: usize = 64;
-
-/// How striped mode assigns a thread to a (stripe, bit) position.
-/// Irrelevant in flat mode (≤ 64 threads: the seed's single bitmap).
-enum StripeMap {
-    /// The legacy mapping: `stripe = tid mod S`, `bit = tid div S`.
-    /// Adjacent tids land on different cache lines — best when core
-    /// numbering is arbitrary, worst on round-robin NUMA enumerations
-    /// (every stripe line is shared by every node).
-    Interleaved,
-    /// Topology-grouped: `stripe = place / 64`, `bit = place mod 64`,
-    /// where `place` is the thread's [`Placement`] index. Same-node
-    /// threads fill whole stripes before spilling to the next, so a
-    /// stripe line is written by one node only.
-    Grouped(Arc<Placement>),
-}
 
 /// A visible-reader set supporting an arbitrary, fixed thread capacity.
 ///
@@ -91,8 +74,6 @@ pub struct ReaderIndicator {
     /// Synthetic base address of the stripe array (one line per stripe);
     /// 0 in flat mode.
     stripes_addr: usize,
-    /// Thread → (stripe, bit) assignment policy (striped mode only).
-    map: StripeMap,
 }
 
 impl ReaderIndicator {
@@ -105,20 +86,6 @@ impl ReaderIndicator {
     /// stripe count up to the next power of two and take fresh synthetic
     /// lines for the stripe array.
     pub fn new(capacity: usize, home_addr: usize) -> ReaderIndicator {
-        Self::with_placement(capacity, home_addr, None)
-    }
-
-    /// Like [`ReaderIndicator::new`], but a `Some` placement switches
-    /// striped mode to the topology-grouped stripe mapping (same-node
-    /// threads share stripe lines; see [`crate::topology`]). Flat mode
-    /// (capacity ≤ 64) ignores the placement entirely — the single
-    /// bitmap word has no lines to place, and stays bit-exact with the
-    /// seed under any topology.
-    pub fn with_placement(
-        capacity: usize,
-        home_addr: usize,
-        placement: Option<Arc<Placement>>,
-    ) -> ReaderIndicator {
         let capacity = capacity.max(1);
         if capacity <= FLAT_CAPACITY {
             return ReaderIndicator {
@@ -128,7 +95,6 @@ impl ReaderIndicator {
                 capacity: FLAT_CAPACITY,
                 home_addr,
                 stripes_addr: 0,
-                map: StripeMap::Interleaved,
             };
         }
         let n_stripes = capacity.div_ceil(FLAT_CAPACITY).next_power_of_two().min(64);
@@ -141,10 +107,6 @@ impl ReaderIndicator {
             capacity: n_stripes * FLAT_CAPACITY,
             home_addr,
             stripes_addr,
-            map: match placement {
-                Some(p) => StripeMap::Grouped(p),
-                None => StripeMap::Interleaved,
-            },
         }
     }
 
@@ -168,29 +130,15 @@ impl ReaderIndicator {
         // Hard assert: silently aliasing an out-of-capacity tid onto
         // another thread's bit would make removal unsound.
         assert!(tid < self.capacity, "tid {tid} exceeds reader capacity {}", self.capacity);
-        match &self.map {
-            StripeMap::Interleaved => {
-                let stripe = tid & (self.stripes.len() - 1);
-                (stripe, 1u64 << (tid >> self.stripe_shift))
-            }
-            StripeMap::Grouped(p) => {
-                // `index_of` is a bijection on tids < capacity (identity
-                // past the placement's length), so place < capacity and
-                // place / 64 < n_stripes.
-                let place = p.index_of(tid);
-                (place >> 6, 1u64 << (place & 63))
-            }
-        }
+        let stripe = tid & (self.stripes.len() - 1);
+        (stripe, 1u64 << (tid >> self.stripe_shift))
     }
 
     /// Inverse of [`ReaderIndicator::split`]: the tid registered at
     /// stripe `s`, bit position `slot`.
     #[inline]
     fn unsplit(&self, s: usize, slot: usize) -> usize {
-        match &self.map {
-            StripeMap::Interleaved => (slot << self.stripe_shift) | s,
-            StripeMap::Grouped(p) => p.tid_at((s << 6) | slot),
-        }
+        (slot << self.stripe_shift) | s
     }
 
     /// Synthetic address of the word `tid`'s registration RMWs touch:
@@ -488,71 +436,6 @@ mod tests {
         assert_eq!(r.capacity(), 256);
         let r = ReaderIndicator::new(64 * 64 + 1, 0);
         assert_eq!(r.n_stripes(), 64, "stripe count is capped at 64 summary bits");
-    }
-
-    #[test]
-    fn grouped_mapping_packs_same_node_threads_onto_one_stripe() {
-        // 128 threads on 3 round-robin nodes (node = tid mod 3), two
-        // stripes of 64. Grouped placement packs node 0 wholly onto
-        // stripe 0 and node 2 wholly onto stripe 1 (node 1 straddles
-        // the boundary), so a stripe line is written by at most two
-        // nodes; the interleaved default mixes all three onto each.
-        let topo = crate::topology::Topology::synthetic(128, 3);
-        let place = Arc::new(topo.placement(128));
-        let r = ReaderIndicator::with_placement(128, 0x3000, Some(place));
-        assert!(r.is_striped());
-        assert_eq!(r.n_stripes(), 2);
-        assert_eq!(r.word_addr(0), r.word_addr(3), "same node shares a stripe line");
-        assert_ne!(r.word_addr(0), r.word_addr(2), "node 2 lands on the other stripe");
-        let nodes_on_stripe = |ri: &ReaderIndicator| {
-            let mut per: Vec<std::collections::BTreeSet<usize>> =
-                vec![Default::default(); ri.n_stripes()];
-            for tid in 0..128 {
-                per[(ri.word_addr(tid) - ri.stripe_addr(0)) / 64].insert(topo.node_of(tid));
-            }
-            per.iter().map(|s| s.len()).max().unwrap()
-        };
-        assert_eq!(nodes_on_stripe(&r), 2);
-        // The interleaved default mixes every node onto every line.
-        let i = ReaderIndicator::new(128, 0x4000);
-        assert_eq!(nodes_on_stripe(&i), 3);
-    }
-
-    #[test]
-    fn grouped_mapping_round_trips_registrations() {
-        let place = Arc::new(crate::topology::Topology::synthetic(130, 4).placement(256));
-        let r = ReaderIndicator::with_placement(200, 0, Some(place));
-        for tid in [0usize, 1, 63, 64, 65, 129, 199, 255] {
-            assert!(!r.is_reader(tid));
-            r.add(tid);
-            assert!(r.is_reader(tid), "tid {tid}");
-        }
-        assert_eq!(r.reader_count(), 8);
-        assert_eq!(readers_of(&r, 65), vec![0, 1, 63, 64, 129, 199, 255]);
-        for tid in [0usize, 1, 63, 64, 65, 129, 199, 255] {
-            assert!(r.remove(tid), "tid {tid} was registered with summary intact");
-        }
-        assert_eq!(r.reader_count(), 0);
-    }
-
-    #[test]
-    fn flat_mode_ignores_placement_and_stays_seed_exact() {
-        // ≤ 64 threads: placement or not, the indicator is the seed's
-        // single bitmap word at the home address — bit-for-bit.
-        let place = Arc::new(crate::topology::Topology::synthetic(8, 4).placement(8));
-        let p = ReaderIndicator::with_placement(8, 0x1000, Some(place));
-        let f = ReaderIndicator::new(8, 0x1000);
-        assert!(!p.is_striped() && !f.is_striped());
-        for tid in [0usize, 3, 5, 63] {
-            p.add(tid);
-            f.add(tid);
-            assert_eq!(p.word_addr(tid), f.word_addr(tid));
-        }
-        assert_eq!(
-            p.summary.load(Ordering::SeqCst),
-            f.summary.load(Ordering::SeqCst),
-            "identical bitmap words under any topology"
-        );
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! may have just begun its next transaction, which then receives a
 //! spurious abort request. That costs a retry, never safety.
 
-use crate::topology::Placement;
 use crate::txn::TxnDesc;
 use crate::util::CachePadded;
 use nztm_epoch::Guard;
@@ -36,28 +35,16 @@ pub struct ThreadRegistry {
     slots: Vec<CachePadded<AtomicU64>>,
     /// Synthetic base; each slot is charged as its own cache line.
     synth: usize,
-    /// Slot-line ordering within the synthetic block: `None` keeps the
-    /// seed's identity layout (line `tid`); a placement puts same-node
-    /// threads' lines contiguous, so a writer's reader-scan walk over
-    /// slots of one node stays within one node's page range.
-    placement: Option<Arc<Placement>>,
 }
 
 impl ThreadRegistry {
     pub fn new(n_threads: usize) -> Self {
-        Self::with_placement(n_threads, None)
-    }
-
-    /// Like [`ThreadRegistry::new`], with slot lines ordered by the
-    /// topology placement (identity when `None`).
-    pub fn with_placement(n_threads: usize, placement: Option<Arc<Placement>>) -> Self {
         ThreadRegistry {
             slots: (0..n_threads).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
             synth: nztm_sim::synth_alloc_as(
                 n_threads.max(1) * 64,
                 nztm_sim::StructClass::RegistrySlots,
             ),
-            placement,
         }
     }
 
@@ -91,11 +78,7 @@ impl ThreadRegistry {
 
     /// Synthetic address of a slot (one line per slot), for charging.
     pub fn slot_addr(&self, tid: usize) -> usize {
-        let line = match &self.placement {
-            Some(p) => p.index_of(tid),
-            None => tid,
-        };
-        self.synth + line * 64
+        self.synth + tid * 64
     }
 }
 
@@ -158,27 +141,6 @@ mod tests {
         assert!(r.current(64, &g).is_none());
         // Slots keep one synthetic line each, past the old 64 ceiling.
         assert_eq!(r.slot_addr(129) - r.slot_addr(0), 129 * 64);
-    }
-
-    #[test]
-    fn placement_reorders_slot_lines_but_not_slots() {
-        let place =
-            Arc::new(crate::topology::Topology::synthetic(8, 2).placement(8));
-        let r = ThreadRegistry::with_placement(8, Some(Arc::clone(&place)));
-        // Same-node threads (evens on node 0) take contiguous lines…
-        assert_eq!(r.slot_addr(2) - r.slot_addr(0), 64);
-        assert_eq!(r.slot_addr(4) - r.slot_addr(2), 64);
-        // …and the mapping is a bijection onto the block.
-        let mut lines: Vec<usize> = (0..8).map(|t| r.slot_addr(t)).collect();
-        lines.sort_unstable();
-        lines.dedup();
-        assert_eq!(lines.len(), 8);
-        // Slot *contents* are still indexed by tid directly.
-        let g = nztm_epoch::pin();
-        let d = Arc::new(TxnDesc::new(5, 9));
-        r.publish(5, &d, &g);
-        assert_eq!(r.current(5, &g).unwrap().serial, 9);
-        assert!(r.current(place.index_of(5), &g).is_none() || place.index_of(5) == 5);
     }
 
     #[test]

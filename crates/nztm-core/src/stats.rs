@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// The struct shape is unconditional, but the *hot-path* counters (reads,
 /// acquires, pool traffic, SCSS stores, wait steps, conflicts, descriptor
-/// recycling) are only incremented when the `stats` cargo feature is on —
+/// allocation) are only incremented when the `stats` cargo feature is on —
 /// tier-1 builds keep it on (default), while a bench profile can build
 /// `--no-default-features` to strip even those per-access increments.
 /// Lifecycle counters (commits, aborts, inflations, HTM outcomes) are
@@ -68,9 +68,7 @@ pub struct TmStats {
     pub backup_reused: u64,
     /// Backup buffers freshly allocated.
     pub backup_alloc: u64,
-    /// Transaction descriptors recycled from the thread-local free list.
-    pub descriptor_reused: u64,
-    /// Transaction descriptors freshly heap-allocated.
+    /// Transaction descriptors heap-allocated (one per attempt).
     pub descriptor_alloc: u64,
     /// SCSS-wrapped stores executed.
     pub scss_stores: u64,
@@ -179,7 +177,6 @@ impl TmStats {
             acquires,
             backup_reused,
             backup_alloc,
-            descriptor_reused,
             descriptor_alloc,
             scss_stores,
             scss_failures,
@@ -256,7 +253,6 @@ macro_rules! for_each_stat {
             acquires,
             backup_reused,
             backup_alloc,
-            descriptor_reused,
             descriptor_alloc,
             scss_stores,
             scss_failures,
@@ -300,7 +296,6 @@ pub struct ThreadStats {
     pub acquires: Counter,
     pub backup_reused: Counter,
     pub backup_alloc: Counter,
-    pub descriptor_reused: Counter,
     pub descriptor_alloc: Counter,
     pub scss_stores: Counter,
     pub scss_failures: Counter,

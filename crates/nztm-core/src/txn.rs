@@ -20,27 +20,6 @@
 //! strong `Arc` count; replacement defers the drop through the epoch
 //! reclamation crate so concurrent readers holding an epoch pin never
 //! observe a freed descriptor.
-//!
-//! ## Recycling and the ABA argument
-//!
-//! Physically, descriptors are *recycled* through a per-thread free list
-//! (see `engine.rs`): allocating one per attempt put a `malloc`/`free`
-//! pair on the fast path the paper's pitch says should be lean. Reuse of
-//! an owner-word pointer is the classic ABA hazard — a stale reader that
-//! loaded `&TxnDesc` must never see the descriptor morph into a later
-//! incarnation under it. Recycling is safe because a descriptor is only
-//! reset when `Arc::get_mut` succeeds, i.e. its strong count is exactly
-//! one (the free list's own) and there are no weak counts. Every shared
-//! word that can hand out a descriptor reference — object owner words,
-//! registry slots, locator fields, backup `installer` words — holds one
-//! strong count for as long as the raw pointer is reachable, and those
-//! counts are only released through epoch-deferred drops that run after
-//! every pinned reader has unpinned. So `strong == 1` proves no shared
-//! word still stores the pointer *and* no pinned reader can still be
-//! dereferencing it. The [`TxnDesc::incarnation`] tag is bumped on every
-//! reset as a belt-and-braces witness: tests (and assertions) can detect
-//! an impossible confusion between incarnations, and debuggers can tell
-//! attempts apart even though the address repeats.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -171,13 +150,12 @@ impl std::fmt::Display for Abort {
 
 /// A transaction descriptor (the paper's `Transaction`).
 ///
-/// One is used per attempt (recycled via the engine's per-thread free
-/// list; see the module docs for the ABA argument). `state` packs the
-/// status and the `AbortNowPlease` flag. The remaining fields support the
-/// Karma contention manager and the LogTM-style deadlock detection the
-/// paper combines it with (§4.3): `priority` counts objects acquired in
-/// this attempt; `waiting_flag`+`waiting_on` implement "TL raises a flag
-/// and waits until TH is done".
+/// A fresh one is allocated per attempt. `state` packs the status and
+/// the `AbortNowPlease` flag. The remaining fields support the Karma
+/// contention manager and the LogTM-style deadlock detection the paper
+/// combines it with (§4.3): `priority` counts objects acquired in this
+/// attempt; `waiting_flag`+`waiting_on` implement "TL raises a flag and
+/// waits until TH is done".
 ///
 /// Aligned to 128 bytes (two lines, for adjacent-line prefetchers): the
 /// `state` word is CAS'd by conflicting threads while `scss_lock` and
@@ -191,10 +169,6 @@ pub struct TxnDesc {
     /// Monotonically increasing attempt serial for this thread (debug aid;
     /// also makes descriptors distinguishable in traces).
     pub serial: u64,
-    /// Incarnation counter: bumped by [`TxnDesc::reset_for_attempt`] each
-    /// time this physical descriptor is recycled for a new attempt.
-    /// Distinguishes incarnations that share an address (ABA witness).
-    pub incarnation: u64,
     /// Karma priority: number of objects acquired in this attempt.
     priority: AtomicU64,
     /// Raised while this transaction is stalled waiting for another
@@ -214,34 +188,11 @@ impl TxnDesc {
             state: AtomicU64::new(ST_ACTIVE),
             thread,
             serial,
-            incarnation: 0,
             priority: AtomicU64::new(0),
             waiting_flag: AtomicU64::new(0),
             scss_lock: AtomicU64::new(0),
             synth: nztm_sim::synth_alloc_as(64, nztm_sim::StructClass::TxnDescs),
         }
-    }
-
-    /// Reset a recycled descriptor for a fresh attempt.
-    ///
-    /// Takes `&mut self` so it is only reachable through
-    /// `Arc::get_mut` — i.e. after the caller has *proved* sole ownership
-    /// (strong count 1, no weak counts). At that point no owner word,
-    /// registry slot, locator, or installer field still holds the pointer
-    /// and no epoch-pinned reader can still dereference it, so plain
-    /// (non-atomic) stores are race-free; the publishing CAS/swap that
-    /// later makes the descriptor shared again provides the
-    /// happens-before edge. See the module docs for the full ABA
-    /// argument. Keeps `synth` (the cache-model address) — reuse of the
-    /// same line is exactly the locality win recycling buys.
-    pub fn reset_for_attempt(&mut self, thread: u32, serial: u64) {
-        *self.state.get_mut() = ST_ACTIVE;
-        self.thread = thread;
-        self.serial = serial;
-        self.incarnation += 1;
-        *self.priority.get_mut() = 0;
-        *self.waiting_flag.get_mut() = 0;
-        *self.scss_lock.get_mut() = 0;
     }
 
     /// Synthetic address of the state word, for cache-model charging.
@@ -504,25 +455,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(counter.load(Ordering::Relaxed), 4000);
-    }
-
-    #[test]
-    fn reset_for_attempt_restores_fresh_state_and_bumps_incarnation() {
-        let mut t = TxnDesc::new(0, 1);
-        let addr = t.addr();
-        t.request_abort();
-        t.acknowledge_abort();
-        t.gained_object();
-        t.set_waiting(true);
-        t.reset_for_attempt(3, 9);
-        assert_eq!(t.status(), Status::Active);
-        assert!(!t.abort_requested());
-        assert_eq!(t.priority(), 0);
-        assert!(!t.is_waiting());
-        assert_eq!((t.thread, t.serial, t.incarnation), (3, 9, 1));
-        assert_eq!(t.addr(), addr, "synthetic line is kept across resets");
-        t.reset_for_attempt(3, 10);
-        assert_eq!(t.incarnation, 2);
     }
 
     #[test]

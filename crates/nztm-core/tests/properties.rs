@@ -279,39 +279,26 @@ fn backoff_cap_is_dynamic_clamped_and_reset_proof() {
 }
 
 // ---------------------------------------------------------------------------
-// Memory-layout placement (stripe/slot mapping under arbitrary topologies)
+// Memory-layout placement (stripe mapping of wide indicators)
 // ---------------------------------------------------------------------------
 
 mod placement {
     use super::*;
-    use nztm_core::registry::ThreadRegistry;
-    use nztm_core::topology::Topology;
     use nztm_core::{ReaderIndicator, ReaderVisit};
 
-    /// A random topology over `n` cores: 1..=8 nodes, each core's node
-    /// drawn independently (covers round-robin, blocked, and lopsided
-    /// maps alike).
-    fn arb_topology(rng: &mut DetRng, n: usize) -> Topology {
-        let nodes = rng.range_inclusive(1, 8) as u16;
-        Topology::from_nodes((0..n).map(|_| (rng.next_below(nodes as u64)) as u16).collect())
-    }
-
-    /// Stripe/slot assignment is a pure function of tid: stable across
+    /// Stripe assignment is a pure function of tid: stable across
     /// registration, deregistration, and re-registration (thread
-    /// exit/reuse), at >64 threads, under arbitrary topologies. A tid's
-    /// stripe word, registry slot line, and visit round-trip never move
-    /// no matter what churn the indicator has seen.
+    /// exit/reuse), at >64 threads. A tid's stripe word and visit
+    /// round-trip never move no matter what churn the indicator has
+    /// seen.
     #[test]
     fn mapping_is_stable_across_thread_exit_and_reuse() {
         let mut rng = DetRng::new(0x70D0_0001);
         for case in 0..32 {
             let n = rng.range_inclusive(65, 192) as usize;
-            let place = Arc::new(arb_topology(&mut rng, n).placement(n));
-            let ri = ReaderIndicator::with_placement(n, 0x1_0000, Some(Arc::clone(&place)));
-            let reg = ThreadRegistry::with_placement(n, Some(Arc::clone(&place)));
+            let ri = ReaderIndicator::new(n, 0x1_0000);
             assert!(ri.is_striped(), "case {case}: >64 threads must stripe");
             let word0: Vec<usize> = (0..n).map(|t| ri.word_addr(t)).collect();
-            let slot0: Vec<usize> = (0..n).map(|t| reg.slot_addr(t)).collect();
             // Churn: random add/remove traffic, including repeated
             // exit/reuse of the same tids.
             let mut registered = vec![false; n];
@@ -327,7 +314,6 @@ mod placement {
             }
             // Mappings after churn are bit-identical to before.
             assert_eq!((0..n).map(|t| ri.word_addr(t)).collect::<Vec<_>>(), word0, "case {case}");
-            assert_eq!((0..n).map(|t| reg.slot_addr(t)).collect::<Vec<_>>(), slot0, "case {case}");
             // And the visit enumeration inverts the mapping exactly.
             let mut seen: Vec<usize> = Vec::new();
             ri.visit_readers(usize::MAX, |v| {
@@ -339,57 +325,6 @@ mod placement {
             let expect: Vec<usize> =
                 (0..n).filter(|&t| registered[t]).collect();
             assert_eq!(seen, expect, "case {case}: visit must invert the stripe mapping");
-        }
-    }
-
-    /// At ≤64 threads the indicator is flat — one summary word — and any
-    /// placement is ignored: a placed indicator behaves bit-identically
-    /// to the seed's flat one under arbitrary operation sequences
-    /// (bit-exactness stays pinned).
-    #[test]
-    fn flat_vs_striped_bit_exact_at_or_below_64() {
-        let mut rng = DetRng::new(0x70D0_0002);
-        for case in 0..64 {
-            let n = rng.range_inclusive(1, 64) as usize;
-            let place = Arc::new(arb_topology(&mut rng, n).placement(n));
-            let placed = ReaderIndicator::with_placement(n, 0x2_0000, Some(place));
-            let flat = ReaderIndicator::new(n, 0x2_0000);
-            assert!(!placed.is_striped(), "case {case}: ≤64 threads must stay flat");
-            let mut spec = 0u64; // reference bitmap
-            for step in 0..256 {
-                let t = rng.next_below(64.min(n as u64).max(1)) as usize;
-                if rng.chance(1, 2) {
-                    assert_eq!(placed.add(t), flat.add(t), "case {case} step {step}");
-                    spec |= 1 << t;
-                } else {
-                    assert_eq!(placed.remove(t), flat.remove(t), "case {case} step {step}");
-                    spec &= !(1 << t);
-                }
-                assert_eq!(placed.word_addr(t), flat.word_addr(t), "case {case}: home line");
-                assert_eq!(placed.reader_count(), spec.count_ones() as usize, "case {case}");
-                for probe in [t, (t + 1) % 64] {
-                    assert_eq!(placed.is_reader(probe), spec & (1 << probe) != 0, "case {case}");
-                    assert_eq!(placed.is_reader(probe), flat.is_reader(probe), "case {case}");
-                }
-            }
-        }
-    }
-
-    /// The registry slot-line mapping is a bijection under any topology:
-    /// no two threads ever share a slot line, and publish/current stay
-    /// tid-indexed (the placement only moves synthetic lines).
-    #[test]
-    fn registry_placement_is_a_bijection() {
-        let mut rng = DetRng::new(0x70D0_0003);
-        for case in 0..32 {
-            let n = rng.range_inclusive(1, 192) as usize;
-            let place = Arc::new(arb_topology(&mut rng, n).placement(n));
-            let reg = ThreadRegistry::with_placement(n, Some(place));
-            let mut lines: Vec<usize> = (0..n).map(|t| reg.slot_addr(t)).collect();
-            lines.sort_unstable();
-            lines.dedup();
-            assert_eq!(lines.len(), n, "case {case}: slot lines must not alias");
-            assert_eq!(lines[n - 1] - lines[0], (n - 1) * 64, "case {case}: block is dense");
         }
     }
 }

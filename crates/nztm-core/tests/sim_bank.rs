@@ -19,16 +19,23 @@ fn sim_machine(cores: usize, max_cycles: u64) -> Arc<Machine> {
     })
 }
 
-/// Run the bank workload on the simulator; returns (makespan, total).
-fn sim_bank<M: ModePolicy>(
-    cores: usize,
-    transfers: u64,
-    read_mode: ReadMode,
-    seed: u64,
-) -> (u64, u64) {
+/// Everything a run can observe about simulated time.
+#[derive(Debug, PartialEq)]
+struct SimRun {
+    elapsed: u64,
+    commits: u64,
+    aborts: u64,
+    /// [`Machine::schedule_trace`]: every run-token handoff.
+    schedule: Vec<(u64, u32)>,
+}
+
+/// Run the bank workload on the simulator (money conservation is
+/// asserted here).
+fn sim_bank<M: ModePolicy>(cores: usize, transfers: u64, read_mode: ReadMode, seed: u64) -> SimRun {
     const ACCOUNTS: usize = 4;
     const INITIAL: u64 = 1_000;
     let machine = sim_machine(cores, 2_000_000_000);
+    machine.enable_trace();
     let platform = SimPlatform::new(Arc::clone(&machine));
     let cfg = NzConfig { patience: 64, read_mode, ..NzConfig::default() };
     let stm: Arc<NzStm<SimPlatform, M>> =
@@ -66,7 +73,13 @@ fn sim_bank<M: ModePolicy>(
     let report = machine.run(bodies);
     let total: u64 = accounts.iter().map(|a| a.read_untracked()).sum();
     assert_eq!(total, ACCOUNTS as u64 * INITIAL, "money conserved ({})", M::NAME);
-    (report.makespan, total)
+    let stats = stm.stats_snapshot();
+    SimRun {
+        elapsed: report.makespan,
+        commits: stats.commits,
+        aborts: stats.aborts(),
+        schedule: machine.schedule_trace().expect("trace enabled"),
+    }
 }
 
 #[test]
@@ -101,5 +114,40 @@ fn sim_bank_seed_changes_timing() {
     let a = sim_bank::<Nonblocking>(3, 60, ReadMode::Visible, 7);
     let b = sim_bank::<Nonblocking>(3, 60, ReadMode::Visible, 8);
     // Different workloads virtually never produce the same cycle count.
-    assert_ne!(a.0, b.0);
+    assert_ne!(a.elapsed, b.elapsed);
+}
+
+/// Simulated time must not depend on what else the process is doing:
+/// two machines running concurrently on two OS threads, each twice with
+/// the same seed, reproduce a solo run cycle for cycle and handoff for
+/// handoff. Needs no sibling test to provide the interference, so it
+/// holds (or fails) the same under `--test-threads=1`.
+#[test]
+fn concurrent_machines_reproduce_the_solo_run() {
+    let run = || sim_bank::<Nonblocking>(3, 200, ReadMode::Visible, 7);
+    let solo = run();
+    let start = std::sync::Barrier::new(2);
+    let concurrent: Vec<SimRun> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    [run(), run()]
+                })
+            })
+            .collect();
+        threads.into_iter().flat_map(|t| t.join().expect("machine thread panicked")).collect()
+    });
+    for (i, r) in concurrent.iter().enumerate() {
+        assert_eq!(
+            (r.elapsed, r.commits, r.aborts),
+            (solo.elapsed, solo.commits, solo.aborts),
+            "concurrent run {i}: (elapsed, commits, aborts) diverged from the solo run"
+        );
+        let diverged = r.schedule.iter().zip(&solo.schedule).position(|(a, b)| a != b);
+        assert!(
+            r.schedule == solo.schedule,
+            "concurrent run {i}: schedule diverged from the solo run at handoff {diverged:?}"
+        );
+    }
 }
