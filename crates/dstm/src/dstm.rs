@@ -59,6 +59,12 @@ struct DstmHeader {
     synth: usize,
 }
 
+/// Monomorphic release fn for the epoch's allocation-free `defer_fn`:
+/// `arg` is a raw `Arc<DstmLocator>` pointer carrying one strong count.
+unsafe fn release_locator_arc(arg: u64) {
+    unsafe { drop(Arc::from_raw(arg as *const DstmLocator)) };
+}
+
 impl DstmHeader {
     fn addr(&self) -> usize {
         self.synth
@@ -74,10 +80,9 @@ impl DstmHeader {
         let new_raw = Arc::into_raw(Arc::clone(new)) as u64;
         match self.start.compare_exchange(expected, new_raw, Ordering::SeqCst, Ordering::SeqCst) {
             Ok(_) => {
-                let ptr = expected as *const DstmLocator;
-                unsafe {
-                    guard.defer_unchecked(move || drop(Arc::from_raw(ptr)));
-                }
+                // SAFETY: the CAS unlinked `expected`, which carried one
+                // strong count; only threads pinned now can still hold it.
+                unsafe { guard.defer_fn(release_locator_arc, expected) };
                 true
             }
             Err(_) => {

@@ -39,6 +39,12 @@ struct ShadowHeader {
     synth: usize,
 }
 
+/// Monomorphic release fn for the epoch's allocation-free `defer_fn`:
+/// `arg` is a raw `Arc<TxnDesc>` pointer carrying one strong count.
+unsafe fn release_txn_arc(arg: u64) {
+    unsafe { drop(Arc::from_raw(arg as *const TxnDesc)) };
+}
+
 impl ShadowHeader {
     fn addr(&self) -> usize {
         self.synth
@@ -58,10 +64,10 @@ impl ShadowHeader {
         match self.owner.compare_exchange(expected, new_raw, Ordering::SeqCst, Ordering::SeqCst) {
             Ok(_) => {
                 if expected != 0 {
-                    let ptr = expected as *const TxnDesc;
-                    unsafe {
-                        guard.defer_unchecked(move || drop(Arc::from_raw(ptr)));
-                    }
+                    // SAFETY: the CAS unlinked `expected`, which carried
+                    // one strong count; only threads pinned now can
+                    // still hold it.
+                    unsafe { guard.defer_fn(release_txn_arc, expected) };
                 }
                 true
             }
@@ -150,10 +156,8 @@ impl<T: TmData> ShadowObject<T> {
         let new_raw = Arc::into_raw(Arc::clone(me)) as u64;
         let old = self.shadow_installer.swap(new_raw, Ordering::SeqCst);
         if old != 0 {
-            let ptr = old as *const TxnDesc;
-            unsafe {
-                guard.defer_unchecked(move || drop(Arc::from_raw(ptr)));
-            }
+            // SAFETY: the swap unlinked `old`, as in `cas_owner`.
+            unsafe { guard.defer_fn(release_txn_arc, old) };
         }
     }
 }

@@ -684,7 +684,13 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         let ctx = unsafe { self.threads.get(tid) };
         let mut had_abort = false;
         loop {
-            self.begin(ctx, tid);
+            // One pin per attempt: `begin` borrows it, and every barrier
+            // iteration and commit validation nest under it (a
+            // thread-local depth bump) instead of each publishing the
+            // participant word. Dropped before the backoff spin, where
+            // the thread holds no pointer.
+            let attempt_pin = nztm_epoch::pin();
+            self.begin(ctx, tid, &attempt_pin);
             let mut tx =
                 NzTx { sys: self as *const NzStm<P, M>, ctx: ctx as *mut ThreadCtx, tid };
             match f(&mut tx) {
@@ -700,6 +706,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 Ok(None) => return None,
                 Err(Abort(cause)) => self.abort_txn(ctx, tid, cause),
             }
+            drop(attempt_pin);
             had_abort = true;
             // Randomized exponential backoff between attempts breaks the
             // symmetric-retry livelock obstruction-freedom permits. An
@@ -720,12 +727,11 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     /// object owner fields and the registry take strong counts; the
     /// previous attempt's descriptor is freed once the last of those
     /// drains through the epoch.
-    fn begin(&self, ctx: &mut ThreadCtx, tid: usize) {
+    fn begin(&self, ctx: &mut ThreadCtx, tid: usize, guard: &Guard) {
         ctx.serial += 1;
         hot_stat!(ctx, descriptor_alloc);
         let desc = Arc::new(TxnDesc::new(tid as u32, ctx.serial));
-        let guard = nztm_epoch::pin();
-        self.registry.publish(tid, &desc, &guard);
+        self.registry.publish(tid, &desc, guard);
         self.platform.mem(self.registry.slot_addr(tid), 8, AccessKind::Write);
         #[cfg(feature = "sanitize")]
         self.san.txn_begin(Arc::as_ptr(&desc) as u64, tid as u32, ctx.serial);
@@ -765,7 +771,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         if M::NOREC {
             return self.norec_commit(ctx, tid);
         }
-        let me = Arc::clone(Self::me(ctx));
+        let me_ptr = Arc::as_ptr(Self::me(ctx));
 
         // Invisible-read extension: validate the read set. Serialization
         // point is this validation; our own writes are protected by
@@ -783,10 +789,10 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 let ok = match h.owner(&guard) {
                     OwnerRef::None => h.version() == r.version,
                     OwnerRef::Txn(t, _) => {
-                        std::ptr::eq(t, Arc::as_ptr(&me))
+                        std::ptr::eq(t, me_ptr)
                             || (t.status() != Status::Active && h.version() == r.version)
                     }
-                    OwnerRef::Inflated(l, _) => std::ptr::eq(l.owner(), Arc::as_ptr(&me)),
+                    OwnerRef::Inflated(l, _) => std::ptr::eq(l.owner(), me_ptr),
                 };
                 if !ok {
                     ctx.conflict_obj = h.addr() as u64;
@@ -802,10 +808,11 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         }
 
         self.san_point(ctx, tid, crate::sanitizer::Point::CommitCas);
+        let me = Self::me(ctx);
         self.platform.mem(me.addr(), 8, AccessKind::Rmw);
         if me.try_commit() {
             #[cfg(feature = "sanitize")]
-            self.san.commit_ok(Arc::as_ptr(&me) as u64, tid as u32);
+            self.san.commit_ok(me_ptr as u64, tid as u32);
             self.cleanup_after_commit(ctx, tid);
             ctx.stats.commits.bump();
             trace_evt!(self, ctx, tid, TxnCommit, ctx.serial, 0);
@@ -836,13 +843,13 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     }
 
     fn abort_txn(&self, ctx: &mut ThreadCtx, tid: usize, cause: AbortCause) {
-        let me = Arc::clone(Self::me(ctx));
         self.san_point(ctx, tid, crate::sanitizer::Point::AbortAck);
+        let me = Self::me(ctx);
         // The `ack` hook fires *before* the status CAS so that any peer
         // observing `Status = Aborted` is guaranteed to find the victim's
         // acknowledgement already recorded.
         #[cfg(feature = "sanitize")]
-        self.san.ack(Arc::as_ptr(&me) as u64, tid as u32);
+        self.san.ack(Arc::as_ptr(me) as u64, tid as u32);
         self.platform.mem(me.addr(), 8, AccessKind::Rmw);
         // Acknowledge: after this we never touch object data again; data
         // we wrote is restored lazily by the next acquirer (§2.2).
@@ -924,7 +931,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         other: &TxnDesc,
         await_ack: bool,
     ) -> Result<ConflictOutcome, Abort> {
-        let me = Arc::clone(Self::me(ctx));
+        let tid = Self::me(ctx).thread;
         hot_stat!(ctx, conflicts);
         // Attribute a later abort of *this* attempt to this object (the
         // contention manager's per-object heat input).
@@ -932,7 +939,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         trace_evt!(
             self,
             ctx,
-            me.thread,
+            tid,
             Conflict,
             h.addr() as u64,
             crate::trace::pack_txn(other.thread as usize, other.serial)
@@ -955,14 +962,14 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 self.san.observed_peer(peer_key, st, anp);
             }
             if other.status() != Status::Active || h.owner_raw() != raw {
-                me.set_waiting(false);
+                Self::me(ctx).set_waiting(false);
                 return Ok(ConflictOutcome::Settled);
             }
             // One consultation per spin step: exactly one `spin_wait`
             // runs between consecutive calls (the `Wait` arm below), so
             // the `waited` count the policy sees equals spin steps — the
             // unit its budgets are documented in.
-            match self.cm.resolve_at(&me, other, h.addr() as u64, waited) {
+            match self.cm.resolve_at(Self::me(ctx), other, h.addr() as u64, waited) {
                 Resolution::Wait => {
                     #[cfg(feature = "trace")]
                     if !traced_wait {
@@ -970,7 +977,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                         trace_evt!(
                             self,
                             ctx,
-                            me.thread,
+                            tid,
                             Wait,
                             h.addr() as u64,
                             crate::trace::pack_txn(other.thread as usize, other.serial)
@@ -978,19 +985,19 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                     }
                     // Raise the deadlock-detection flag while stalled
                     // ("TL raises a flag and waits until TH is done").
-                    me.set_waiting(true);
+                    Self::me(ctx).set_waiting(true);
                     self.platform.spin_wait();
                     hot_stat!(ctx, wait_steps);
                     waited += 1;
                 }
                 Resolution::AbortSelf => {
-                    me.set_waiting(false);
+                    Self::me(ctx).set_waiting(false);
                     return Err(Abort(AbortCause::SelfAbort));
                 }
                 Resolution::RequestAbort => {
-                    me.set_waiting(false);
+                    Self::me(ctx).set_waiting(false);
                     ctx.stats.abort_requests_sent.bump();
-                    self.san_point(ctx, me.thread as usize, crate::sanitizer::Point::AnpSet);
+                    self.san_point(ctx, tid as usize, crate::sanitizer::Point::AnpSet);
                     self.platform.mem(other.addr(), 8, AccessKind::Rmw);
                     let prev = other.request_abort();
                     #[cfg(feature = "sanitize")]
@@ -1016,7 +1023,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                         return Ok(ConflictOutcome::Settled);
                     }
                     // Wait for the acknowledgement (Status = Aborted).
-                    self.san_point(ctx, me.thread as usize, crate::sanitizer::Point::AwaitAck);
+                    self.san_point(ctx, tid as usize, crate::sanitizer::Point::AwaitAck);
                     let mut acked_wait = 0u64;
                     // Inflate-vs-wait (adaptive CM lever 3): each time
                     // the budget expires, the policy may grant extra
@@ -1234,10 +1241,9 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         prev_aborted: bool,
         guard: &Guard,
     ) -> Result<bool, Abort> {
-        let me = Arc::clone(Self::me(ctx));
         self.san_point(ctx, tid, crate::sanitizer::Point::OwnerCas);
         self.platform.mem(obj.header().addr(), 8, AccessKind::Rmw);
-        if !obj.header().cas_owner_to_txn(expected_raw, &me, guard) {
+        if !obj.header().cas_owner_to_txn(expected_raw, Self::me(ctx), guard) {
             return Ok(false);
         }
         let h = obj.header();
@@ -1249,7 +1255,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 .then(|| unsafe { &*(expected_raw as *const TxnDesc) }.state_snapshot());
             self.san.owner_cas_txn(
                 h.addr(),
-                Arc::as_ptr(&me) as u64,
+                Arc::as_ptr(Self::me(ctx)) as u64,
                 expected_raw,
                 prev_state,
                 M::SCSS,
@@ -1274,13 +1280,13 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             // (§2.2). Adoption (installer := us) happens *before* the
             // restore copy so that if we abort mid-restore, the buffer
             // still reads as usable for the next acquirer.
-            b.set_installer(&me, guard);
+            b.set_installer(Self::me(ctx), guard);
             self.san_point(ctx, tid, crate::sanitizer::Point::Restore);
             self.platform.mem_nb(b.addr(), n * 8, AccessKind::Read);
             self.platform.mem_nb(obj.data_addr(), n * 8, AccessKind::Write);
             #[cfg(feature = "sanitize")]
             let scss_failures_before = ctx.stats.scss_failures.get();
-            self.store_words(ctx, &me, obj.data_words(), b.words());
+            self.store_words(ctx, obj.data_words(), b.words());
             #[cfg(feature = "sanitize")]
             {
                 // The restore must reproduce the pre-transaction bytes —
@@ -1310,7 +1316,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                     WordBuf::zeroed(n)
                 }
             };
-            buf.set_installer(&me, guard);
+            buf.set_installer(Self::me(ctx), guard);
             self.platform.mem_nb(obj.data_addr(), n * 8, AccessKind::Read);
             self.platform.mem_nb(buf.addr(), n * 8, AccessKind::Write);
             crate::data::copy_words(buf.words(), obj.data_words());
@@ -1341,13 +1347,13 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
 
     /// Store `src` into `dst` (in-place data words), SCSS-wrapping each
     /// word store in SCSS mode.
-    fn store_words(&self, ctx: &mut ThreadCtx, me: &Arc<TxnDesc>, dst: &[std::sync::atomic::AtomicU64], src: &[std::sync::atomic::AtomicU64]) {
+    fn store_words(&self, ctx: &mut ThreadCtx, dst: &[std::sync::atomic::AtomicU64], src: &[std::sync::atomic::AtomicU64]) {
         if M::SCSS {
             for (d, s) in dst.iter().zip(src) {
                 let v = s.load(std::sync::atomic::Ordering::Relaxed);
                 // Failure is detected by the *next* validate; stores after
                 // AbortNowPlease simply do not happen.
-                let _ = self.scss_store(ctx, me, d, v);
+                let _ = self.scss_store(ctx, d, v);
             }
         } else {
             for (d, s) in dst.iter().zip(src) {
@@ -1361,12 +1367,13 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     fn scss_store(
         &self,
         ctx: &mut ThreadCtx,
-        me: &Arc<TxnDesc>,
         word: &std::sync::atomic::AtomicU64,
         value: u64,
     ) -> bool {
         hot_stat!(ctx, scss_stores);
         self.platform.work(self.cfg.scss_cycles);
+        let me = Self::me(ctx);
+        let tid = me.thread;
         let ok = me.with_scss_lock(|| {
             if me.abort_requested() {
                 false
@@ -1378,7 +1385,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         if !ok {
             hot_stat!(ctx, scss_failures);
         }
-        trace_evt!(self, ctx, me.thread, ScssStore, ok as u64, ctx.serial);
+        trace_evt!(self, ctx, tid, ScssStore, ok as u64, ctx.serial);
         ok
     }
 
@@ -1405,7 +1412,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             return Ok(()); // it finally acknowledged; retry normally
         }
 
-        let me = Arc::clone(Self::me(ctx));
         let h = obj.header();
         let n = obj.data_words().len();
 
@@ -1428,7 +1434,8 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             std::sync::Arc::increment_strong_count(unresp as *const TxnDesc);
             Arc::from_raw(unresp as *const TxnDesc)
         };
-        let loc = Arc::new(Locator::new(Arc::clone(&me), unresp_arc, old, new));
+        // The locator stores an owner count: the one clone this path needs.
+        let loc = Arc::new(Locator::new(Arc::clone(Self::me(ctx)), unresp_arc, old, new));
 
         self.san_point(ctx, tid, crate::sanitizer::Point::Inflate);
         self.platform.mem(h.addr(), 8, AccessKind::Rmw);
@@ -1437,7 +1444,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             self.san.inflated(
                 h.addr(),
                 (Arc::as_ptr(&loc) as u64) | crate::object::INFLATED_TAG,
-                Arc::as_ptr(&me) as u64,
+                Arc::as_ptr(Self::me(ctx)) as u64,
                 unresp_raw,
                 unresp.state_snapshot(),
             );
@@ -1451,7 +1458,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 crate::trace::pack_txn(unresp.thread as usize, unresp.serial)
             );
             h.bump_version();
-            me.gained_object();
+            Self::me(ctx).gained_object();
             hot_stat!(ctx, acquires);
             trace_evt!(self, ctx, tid, Acquire, h.addr() as u64, ctx.serial);
             self.request_readers(ctx, h, tid, guard)?;
@@ -1473,11 +1480,11 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         raw: u64,
         guard: &Guard,
     ) -> Result<bool, Abort> {
-        let me = Arc::clone(Self::me(ctx));
+        let me_ptr = Arc::as_ptr(Self::me(ctx));
         let h = obj.header();
 
         let (st, anp) = loc.owner().state_snapshot();
-        if st == Status::Active && !anp && !std::ptr::eq(loc.owner(), Arc::as_ptr(&me)) {
+        if st == Status::Active && !anp && !std::ptr::eq(loc.owner(), me_ptr) {
             // Live locator owner: contention management. Locator owners
             // need no acknowledgement (their stores are private), so
             // `await_ack = false`.
@@ -1486,7 +1493,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 ConflictOutcome::Unresponsive => unreachable!("no ack needed for locator owners"),
             }
         }
-        if std::ptr::eq(loc.owner(), Arc::as_ptr(&me)) {
+        if std::ptr::eq(loc.owner(), me_ptr) {
             // Already ours through this locator (caller keeps write-set
             // entries in sync, so this is a stale retry).
             return Ok(false);
@@ -1500,7 +1507,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         self.platform.mem_nb(value_buf.addr(), n * 8, AccessKind::Read);
         self.platform.mem_nb(new.addr(), n * 8, AccessKind::Write);
         let mine = Arc::new(Locator::new(
-            Arc::clone(&me),
+            Arc::clone(Self::me(ctx)),
             Arc::clone(loc.aborted_txn_arc()),
             Arc::clone(value_buf),
             new,
@@ -1518,7 +1525,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             raw,
         );
         h.bump_version();
-        me.gained_object();
+        Self::me(ctx).gained_object();
         hot_stat!(ctx, acquires);
         trace_evt!(self, ctx, tid, Acquire, h.addr() as u64, ctx.serial);
         self.request_readers(ctx, h, tid, guard)?;
@@ -1534,7 +1541,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             let my_loc_raw = (Arc::as_ptr(&mine) as u64) | 1;
             // 1. Backup := the valid data (our locator's old data),
             //    installed under our identity.
-            mine.old_data().set_installer(&me, guard);
+            mine.old_data().set_installer(Self::me(ctx), guard);
             self.san_point(ctx, tid, crate::sanitizer::Point::BackupInstall);
             loop {
                 let cur = h.backup_raw();
@@ -1552,7 +1559,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             // 2. Owner := our transaction (untagged — deflated).
             self.san_point(ctx, tid, crate::sanitizer::Point::DeflateCas);
             self.platform.mem(h.addr(), 8, AccessKind::Rmw);
-            if !h.cas_owner_to_txn(my_loc_raw, &me, guard) {
+            if !h.cas_owner_to_txn(my_loc_raw, Self::me(ctx), guard) {
                 // A competitor requested our abort and replaced our
                 // locator before we could deflate. Keep the locator entry;
                 // validation will observe the AbortNowPlease shortly.
@@ -1566,7 +1573,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             #[cfg(feature = "sanitize")]
             self.san.deflated(
                 h.addr(),
-                Arc::as_ptr(&me) as u64,
+                me_ptr as u64,
                 my_loc_raw,
                 mine.aborted_txn().status(),
             );
@@ -1575,7 +1582,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             self.platform.mem_nb(obj.data_addr(), n * 8, AccessKind::Write);
             #[cfg(feature = "sanitize")]
             let scss_failures_before = ctx.stats.scss_failures.get();
-            self.store_words(ctx, &me, obj.data_words(), mine.old_data().words());
+            self.store_words(ctx, obj.data_words(), mine.old_data().words());
             #[cfg(feature = "sanitize")]
             {
                 let complete = ctx.stats.scss_failures.get() == scss_failures_before;
@@ -1788,7 +1795,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         ctx.scratch.clear();
         ctx.scratch.resize(n, 0);
         value.encode(&mut ctx.scratch);
-        let me = Arc::clone(Self::me(ctx));
         match &ctx.write_set.get(idx).expect("indexed write entry").target {
             WriteTarget::InPlace { .. } => {
                 // Yield-point annotation modeling preemption between the
@@ -1811,7 +1817,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                     let scratch = std::mem::take(&mut ctx.scratch);
                     for (d, v) in obj.data_words().iter().zip(&scratch) {
                         if d.load(std::sync::atomic::Ordering::Relaxed) != *v {
-                            let _ = self.scss_store(ctx, &me, d, *v);
+                            let _ = self.scss_store(ctx, d, *v);
                         }
                     }
                     ctx.scratch = scratch;
@@ -1992,7 +1998,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     /// committed since the snapshot), write the redo log back, and
     /// release the clock two ticks up.
     fn norec_commit(&self, ctx: &mut ThreadCtx, tid: usize) -> bool {
-        let me = Arc::clone(Self::me(ctx));
         if !ctx.write_set.is_empty() {
             loop {
                 self.san_point(ctx, tid, crate::sanitizer::Point::CommitCas);
@@ -2018,8 +2023,8 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 }
             }
         }
-        self.platform.mem(me.addr(), 8, AccessKind::Rmw);
-        if !me.try_commit() {
+        self.platform.mem(Self::me(ctx).addr(), 8, AccessKind::Rmw);
+        if !Self::me(ctx).try_commit() {
             // Defensive only: no peer can find a NOrec descriptor (it is
             // never published in owner words or reader indicators), so
             // AbortNowPlease cannot arrive. Unlock and unwind anyway.
@@ -2032,7 +2037,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             return false;
         }
         #[cfg(feature = "sanitize")]
-        self.san.commit_ok(Arc::as_ptr(&me) as u64, tid as u32);
+        self.san.commit_ok(Arc::as_ptr(Self::me(ctx)) as u64, tid as u32);
         if !ctx.write_set.is_empty() {
             // Locked: write the redo log back. Readers observing these
             // stores see an odd clock and wait us out.

@@ -157,11 +157,15 @@ impl std::fmt::Display for Abort {
 /// attempt; `waiting_flag`+`waiting_on` implement "TL raises a flag and
 /// waits until TH is done".
 ///
-/// Aligned to 128 bytes (two lines, for adjacent-line prefetchers): the
-/// `state` word is CAS'd by conflicting threads while `scss_lock` and
-/// `waiting_flag` spin locally, and the descriptor must never share a
-/// cache line with a neighboring allocation.
-#[repr(align(128))]
+/// Naturally aligned and padded at the tail: the `state` word is CAS'd
+/// by conflicting threads while `scss_lock` and `waiting_flag` spin
+/// locally, so two descriptors' hot words must never share a cache line.
+/// `TAIL_PAD` (64) bytes after the last hot word put the hot words
+/// of two adjacent heap blocks more than a line apart under any
+/// allocator, and — unlike `align(128)`, which routes every `Arc::new`
+/// through `posix_memalign` — leave the one allocation each attempt
+/// makes an ordinary small `malloc`.
+#[repr(C)]
 pub struct TxnDesc {
     state: AtomicU64,
     /// Core/thread id that runs this transaction.
@@ -180,9 +184,13 @@ pub struct TxnDesc {
     scss_lock: AtomicU64,
     /// Synthetic address for the deterministic cache model.
     synth: usize,
+    _tail: [u8; Self::TAIL_PAD],
 }
 
 impl TxnDesc {
+    /// Trailing padding, at least one 64-byte line (see the struct docs).
+    const TAIL_PAD: usize = 64;
+
     pub fn new(thread: u32, serial: u64) -> Self {
         TxnDesc {
             state: AtomicU64::new(ST_ACTIVE),
@@ -192,6 +200,7 @@ impl TxnDesc {
             waiting_flag: AtomicU64::new(0),
             scss_lock: AtomicU64::new(0),
             synth: nztm_sim::synth_alloc_as(64, nztm_sim::StructClass::TxnDescs),
+            _tail: [0; Self::TAIL_PAD],
         }
     }
 
@@ -458,10 +467,13 @@ mod tests {
     }
 
     #[test]
-    fn descriptor_is_cache_line_pair_aligned() {
-        assert_eq!(std::mem::align_of::<TxnDesc>(), 128);
-        let t = TxnDesc::new(0, 1);
-        assert_eq!(&t as *const _ as usize % 128, 0);
+    fn descriptor_is_malloc_aligned_and_tail_padded() {
+        // Over-alignment would send `Arc::new` through `posix_memalign`.
+        assert!(std::mem::align_of::<TxnDesc>() <= 16);
+        // `repr(C)`: every hot word lies before `_tail`.
+        let hot_bytes = std::mem::offset_of!(TxnDesc, _tail);
+        assert!(hot_bytes >= 7 * 8, "a hot word moved behind the padding");
+        assert!(std::mem::size_of::<TxnDesc>() >= hot_bytes + 64);
     }
 
     #[test]

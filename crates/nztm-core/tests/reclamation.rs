@@ -13,7 +13,17 @@ use nztm_core::txn::TxnDesc;
 use nztm_core::{NzConfig, Nzstm};
 use nztm_sim::{Machine, MachineConfig, Platform, SimPlatform};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// The epoch is process-global (ROADMAP item 1d): a simulated core of
+/// the churn test, parked inside its attempt's pin while another core
+/// holds the token, stops `flush()` in a test running beside it from
+/// advancing. Tests that assert on *when* a count is released therefore
+/// take turns.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 // ---------------------------------------------------------------------------
 // Unit level: the installer swap itself.
@@ -21,6 +31,7 @@ use std::sync::Arc;
 
 #[test]
 fn installer_swap_releases_the_displaced_count_through_the_epoch() {
+    let _serial = serial();
     let buf = WordBuf::zeroed(2);
     let d1 = Arc::new(TxnDesc::new(0, 1));
     let d2 = Arc::new(TxnDesc::new(1, 1));
@@ -53,6 +64,7 @@ fn installer_swap_releases_the_displaced_count_through_the_epoch() {
 
 #[test]
 fn same_installer_reinstall_does_not_leak() {
+    let _serial = serial();
     let buf = WordBuf::zeroed(1);
     let d = Arc::new(TxnDesc::new(0, 1));
     {
@@ -79,6 +91,7 @@ fn same_installer_reinstall_does_not_leak() {
 /// deflated backup, and each hop swaps installer counts.
 #[test]
 fn inflate_deflate_churn_reclaims_buffers_and_descriptors() {
+    let _serial = serial();
     let machine = Machine::new(MachineConfig::paper(3));
     let platform = SimPlatform::new(Arc::clone(&machine));
     let stm: Arc<Nzstm<SimPlatform>> = Nzstm::new(

@@ -4,7 +4,7 @@
 
 use nztm_core::cm::KarmaDeadlock;
 use nztm_core::{NzBuilder, NzConfig, Nzstm};
-use nztm_sim::{DetRng, Machine, MachineConfig, Native, Platform, SimPlatform};
+use nztm_sim::{DetRng, Machine, MachineConfig, Platform, SimPlatform};
 use nztm_workloads::linkedlist::LinkedListSet;
 use nztm_workloads::set::{Contention, SetOp, TmSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,29 +12,35 @@ use std::sync::Arc;
 
 /// Ordinary high-contention execution: zero inflations (§4.4.2: "it is
 /// not due to any actual object inflation, which was not observed in
-/// our experiments").
+/// our experiments"). The claim is about *responsive* threads, so it
+/// runs where responsiveness is controlled: on native threads the OS
+/// may preempt an owner for longer than the patience budget, and a peer
+/// then — correctly — inflates past it.
 #[test]
 fn inflation_not_observed_in_ordinary_runs() {
-    let p = Native::new(4);
-    let s = NzBuilder::new(Arc::clone(&p)).build_nzstm();
-    let set = Arc::new(LinkedListSet::new(&*s, 60_000));
-    std::thread::scope(|scope| {
-        for tid in 0..4usize {
-            let p = Arc::clone(&p);
+    const CORES: usize = 4;
+    const OPS: usize = 400;
+    let machine = Machine::new(MachineConfig::paper(CORES));
+    let platform = SimPlatform::new(Arc::clone(&machine));
+    let s = NzBuilder::new(platform).build_nzstm();
+    let set = Arc::new(LinkedListSet::new(&*s, CORES * OPS));
+    let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..CORES)
+        .map(|core| {
             let s = Arc::clone(&s);
             let set = Arc::clone(&set);
-            scope.spawn(move || {
-                p.register_thread_as(tid);
-                let mut rng = DetRng::new(5).split(tid as u64);
-                for _ in 0..3_000 {
+            Box::new(move || {
+                let mut rng = DetRng::new(5).split(core as u64);
+                for _ in 0..OPS {
                     set.apply(&*s, SetOp::draw(&mut rng, Contention::High));
                 }
-            });
-        }
-    });
+            }) as Box<dyn FnOnce() + Send>
+        })
+        .collect();
+    machine.run(bodies);
     let st = s.stats_snapshot();
+    assert_eq!(st.commits, (CORES * OPS) as u64);
     assert_eq!(st.inflations, 0, "responsive threads must never trigger inflation: {st:?}");
-    assert!(st.conflicts > 0, "the run must actually have contention");
+    assert!(st.conflicts > 100, "the run must actually have contention: {st:?}");
 }
 
 /// Induced inflation on the deterministic simulator: one core stalls
