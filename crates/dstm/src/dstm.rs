@@ -54,9 +54,8 @@ struct DstmHeader {
     /// Pointer to the current `DstmLocator` (one strong count).
     start: AtomicU64,
     /// Visible-reader indicator: flat bitmap ≤ 64 threads, striped above.
+    /// Its home address is the TMObject word's synthetic address.
     readers: ReaderIndicator,
-    /// Synthetic address of the TMObject word.
-    synth: usize,
 }
 
 /// Monomorphic release fn for the epoch's allocation-free `defer_fn`:
@@ -67,7 +66,7 @@ unsafe fn release_locator_arc(arg: u64) {
 
 impl DstmHeader {
     fn addr(&self) -> usize {
-        self.synth
+        self.readers.summary_addr()
     }
 
     fn locator<'g>(&self, _guard: &'g Guard) -> (&'g DstmLocator, u64) {
@@ -131,7 +130,6 @@ impl<T: TmData> DstmObject<T> {
             header: DstmHeader {
                 start: AtomicU64::new(Arc::into_raw(loc) as u64),
                 readers: ReaderIndicator::new(reader_capacity, synth),
-                synth,
             },
             _marker: std::marker::PhantomData,
         })

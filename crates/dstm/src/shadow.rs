@@ -32,11 +32,10 @@ struct ShadowHeader {
     /// Raw pointer to the owning `TxnDesc` (one strong count); 0 = none.
     owner: AtomicU64,
     /// Visible readers: flat bitmap up to 64 threads, striped above.
+    /// Its home address is the object's synthetic base: metadata at the
+    /// base, data at base+32, the collocated shadow right after the data
+    /// — the 100% space overhead is visible to the cache model.
     readers: ReaderIndicator,
-    /// Synthetic base of the object: metadata at `synth`, data at
-    /// `synth+32`, the collocated shadow right after the data — the
-    /// 100% space overhead is visible to the cache model.
-    synth: usize,
 }
 
 /// Monomorphic release fn for the epoch's allocation-free `defer_fn`:
@@ -47,7 +46,7 @@ unsafe fn release_txn_arc(arg: u64) {
 
 impl ShadowHeader {
     fn addr(&self) -> usize {
-        self.synth
+        self.readers.summary_addr()
     }
 
     fn owner_desc<'g>(&self, _guard: &'g Guard) -> Option<(&'g TxnDesc, u64)> {
@@ -119,7 +118,6 @@ impl<T: TmData> ShadowObject<T> {
             header: ShadowHeader {
                 owner: AtomicU64::new(0),
                 readers: ReaderIndicator::new(reader_capacity, synth),
-                synth,
             },
             data: T::Words::new_zeroed(),
             shadow: T::Words::new_zeroed(),
@@ -199,10 +197,10 @@ impl<T: TmData> ShadowAny for ShadowObject<T> {
         self.adopt_shadow(me, guard)
     }
     fn data_addr(&self) -> usize {
-        self.header.synth + 32
+        self.header.addr() + 32
     }
     fn shadow_addr(&self) -> usize {
-        self.header.synth + 32 + self.data.words().len() * 8
+        self.header.addr() + 32 + self.data.words().len() * 8
     }
 }
 
@@ -515,9 +513,9 @@ impl<P: Platform> ShadowStm<P> {
             };
             let src_is_shadow = std::ptr::eq(src.as_ptr(), obj.shadow.words().as_ptr());
             let src_addr = if src_is_shadow {
-                obj.header.synth + 32 + n * 8
+                obj.header.addr() + 32 + n * 8
             } else {
-                obj.header.synth + 32
+                obj.header.addr() + 32
             };
             ctx.scratch.clear();
             ctx.scratch.resize(n, 0);
@@ -539,7 +537,7 @@ impl<P: Platform> ShadowStm<P> {
         ctx.scratch.clear();
         ctx.scratch.resize(n, 0);
         v.encode(&mut ctx.scratch);
-        self.platform.mem_nb(obj.header.synth + 32, n * 8, AccessKind::Write);
+        self.platform.mem_nb(obj.header.addr() + 32, n * 8, AccessKind::Write);
         write_words(obj.data.words(), &ctx.scratch);
         self.validate(ctx)
     }

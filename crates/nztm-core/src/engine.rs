@@ -1159,8 +1159,9 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             let owner_snapshot = h.owner(&guard);
             // Check the version *after* loading the owner word: any later
             // foreign acquisition changes the owner word and fails our
-            // CAS, so passing here + CAS success ⇒ no intervening bump
-            // (the epoch pin rules out owner-word ABA).
+            // CAS (the epoch pin rules out owner-word ABA). The snapshot
+            // owner's own bump may still be pending, which is why the
+            // settled-owner arm below checks again.
             if let Some(v) = read_version {
                 if h.version() != v {
                     ctx.conflict_obj = h.addr() as u64;
@@ -1208,6 +1209,21 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                             // Settled owner (or our own settled descriptor
                             // from an earlier attempt): restore if it
                             // aborted, then steal.
+                            //
+                            // Check the read version again. The check
+                            // above may have run between this owner's CAS
+                            // and its bump; the bump precedes its commit
+                            // or abort, so only a version loaded after
+                            // seeing it settled is sure to include it.
+                            // Without this, two writers that both read
+                            // the version before a committed owner's bump
+                            // could both install (lost update).
+                            if let Some(v) = read_version {
+                                if h.version() != v {
+                                    ctx.conflict_obj = h.addr() as u64;
+                                    return Err(Abort(AbortCause::Validation));
+                                }
+                            }
                             let aborted = st == Status::Aborted;
                             if self.try_install(ctx, tid, obj, raw, aborted, &guard)? {
                                 return Ok(ctx.write_set.len() - 1);

@@ -1,19 +1,28 @@
 //! The `NZObject`: collocated metadata + in-place data (paper Figure 1).
 //!
-//! Layout, in declaration order (all inline, no indirection to reach the
-//! data):
+//! Layout (all inline, no indirection to reach the data):
 //!
 //! ```text
 //! +-----------------+  \
 //! | Owner (tagged)  |   |
-//! | Backup Data ptr |   |  metadata words
-//! | Readers bitmap  |   |
-//! | Version         |  /
+//! | Backup Data ptr |   |  metadata words: the four of Figure 1,
+//! | Readers bitmap  |   |  plus two the figure does not draw
+//! | Version         |   |  (48-byte NZHeader)
+//! | (stripes ptr)   |   |
+//! | (synth address) |  /
 //! | Data word 0     |  \
 //! | ...             |   |  data, in place, at a fixed offset
 //! | Data word N-1   |  /
 //! +-----------------+
 //! ```
+//!
+//! The two extra words belong to the reader indicator: a pointer that
+//! is null unless more than 64 threads can read (striped mode, whose
+//! stripe array lives behind it), and the object's synthetic base
+//! address, which the simulator's cache model charges instead of host
+//! addresses. `NZObject` is naturally aligned, so `Arc::new` takes
+//! `malloc`'s fast path: a `u64` object is 56 bytes, 72 with the `Arc`
+//! counts.
 //!
 //! * **Owner** — `0` when unowned; a pointer to the last acquiring
 //!   [`TxnDesc`] when the low bit is clear; a pointer to a
@@ -28,7 +37,8 @@
 //!   referenced in §2/§2.4. Up to 64 threads it is the paper's inline
 //!   bitmap word; wider systems switch to a striped
 //!   [`crate::readers::ReaderIndicator`] whose summary word lives here
-//!   and whose per-stripe words take separate cache lines.
+//!   and whose per-stripe words sit behind one pointer, on cache lines
+//!   of their own.
 //! * **Version** — bumped on each exclusive acquisition; only consumed by
 //!   the invisible-reader *extension*, ignored by the paper's algorithms.
 //! * **Clone()** — the paper stores a clone-function pointer; in Rust the
@@ -39,9 +49,10 @@
 //! The owner and backup words hold raw pointers that each carry one
 //! strong `Arc` count. Whoever removes a pointer from a field (CAS)
 //! becomes responsible for that count and **defers** the drop through
-//! `crossbeam-epoch`, so any thread that loaded the pointer under an
-//! epoch pin can still dereference it safely. This is the Rust-sound
-//! replacement for the C original's leak-or-GC discipline.
+//! `nztm-epoch` (the workspace's own epoch collector), so any thread that
+//! loaded the pointer under an epoch pin can still dereference it
+//! safely. This is the Rust-sound replacement for the C original's
+//! leak-or-GC discipline.
 
 use crate::data::{TmData, WordArray};
 use crate::locator::Locator;
@@ -230,18 +241,19 @@ pub enum OwnerRef<'g> {
 pub(crate) const INFLATED_TAG: u64 = 1;
 
 /// The metadata head shared by every `NZObject<T>` (type-erased view).
+///
+/// Six words, 48 bytes: owner, backup, version and the three-word
+/// [`ReaderIndicator`], which also holds the object's synthetic base
+/// address (its summary word's home). In the simulator's address space
+/// the metadata occupies `[base, base+32)` and the in-place data starts
+/// at `base + 32`, so small objects' metadata and data share one cache
+/// line — the collocation property of Figure 1. A striped reader
+/// indicator's stripe array takes additional synthetic lines of its own.
 pub struct NZHeader {
     owner: AtomicU64,
     backup: AtomicU64,
     readers: ReaderIndicator,
     version: AtomicU64,
-    /// Synthetic base address of the whole object: the metadata words
-    /// occupy `[synth, synth+32)` and the in-place data starts at
-    /// `synth + 32` — so small objects' metadata and data share one
-    /// cache line, the collocation property of Figure 1. A striped
-    /// reader indicator's stripe array takes additional synthetic lines
-    /// of its own (see [`ReaderIndicator`]).
-    synth: usize,
 }
 
 impl Default for NZHeader {
@@ -266,7 +278,6 @@ impl NZHeader {
             backup: AtomicU64::new(0),
             readers: ReaderIndicator::new(reader_capacity, synth),
             version: AtomicU64::new(0),
-            synth,
         }
     }
 }
@@ -276,13 +287,13 @@ impl NZHeader {
     /// metadata words share the object's first line with the first data
     /// words — collocation is the point).
     pub fn addr(&self) -> usize {
-        self.synth
+        self.readers.summary_addr()
     }
 
     /// Synthetic address of the in-place data (fixed offset 32 from the
     /// object base).
     pub fn data_synth(&self) -> usize {
-        self.synth + 32
+        self.addr() + 32
     }
 
     // ---- owner word ------------------------------------------------------
@@ -507,10 +518,13 @@ fn drop_owner_word_now(raw: u64) {
 
 /// A transactional object: header + in-place data words.
 ///
-/// 64-byte aligned: the header words and the first data words share the
-/// object's first cache line (collocation, Figure 1), and distinct
-/// objects never share a line (determinism + the paper's padding).
-#[repr(align(64))]
+/// Naturally aligned (8 bytes), so allocation is an ordinary `malloc`
+/// rather than `posix_memalign`. The simulator charges synthetic
+/// addresses, where the header and the first data words share the
+/// object's first line and distinct objects never share one, so host
+/// placement does not move simulated cycles. On the host two small
+/// objects may share a cache line; that costs false sharing natively
+/// and, under real RTM, spurious conflict aborts.
 pub struct NZObject<T: TmData> {
     header: NZHeader,
     data: T::Words,
@@ -762,6 +776,15 @@ mod tests {
             d.header().addr() - c.header().addr()
         );
         assert_eq!(c.data_addr(), c.header().addr() + 32);
+    }
+
+    #[test]
+    fn header_is_six_words_and_objects_take_malloc_alignment() {
+        assert!(std::mem::size_of::<NZHeader>() <= 48, "owner, backup, version + 3-word indicator");
+        // Above 16 bytes `Arc::new` leaves malloc's fast path for
+        // `posix_memalign`.
+        assert!(std::mem::align_of::<NZObject<u64>>() <= 16);
+        assert!(std::mem::size_of::<NZObject<u64>>() <= 56);
     }
 
     #[test]

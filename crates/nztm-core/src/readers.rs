@@ -58,22 +58,60 @@ pub const FLAT_CAPACITY: usize = 64;
 /// its own synthetic addresses (for the simulator's cache model): the
 /// summary word lives at `home_addr` — inside the owning header's
 /// metadata line — and each stripe occupies its own synthetic line.
+///
+/// Three words: the summary, the striped-mode pointer (null in flat
+/// mode) and `home_addr`. Everything only striped mode needs sits behind
+/// the pointer, so the flat indicator every object header embeds is the
+/// seed's bitmap word plus two.
 pub struct ReaderIndicator {
     /// Flat mode: the reader bitmap itself. Striped mode: sticky
     /// stripe-presence bits (bit `s` ⇒ stripe `s` may hold readers).
     summary: AtomicU64,
-    /// Empty in flat mode; one padded word per stripe otherwise.
-    stripes: Box<[CachePadded<AtomicU64>]>,
-    /// `log2(stripes.len())` in striped mode; 0 in flat mode.
-    stripe_shift: u32,
-    /// Maximum `tid` is `capacity - 1`.
-    capacity: usize,
-    /// Synthetic address of the summary word (the owning header's
-    /// metadata line).
+    /// `None` in flat mode.
+    striped: Option<Box<Stripes>>,
+    /// Synthetic address of the summary word: the owning header's
+    /// metadata line, which is also the object's synthetic base address.
     home_addr: usize,
-    /// Synthetic base address of the stripe array (one line per stripe);
-    /// 0 in flat mode.
-    stripes_addr: usize,
+}
+
+/// The striped-mode half of a [`ReaderIndicator`]. Boxed once at
+/// construction and never moved or resized, so a tid's stripe word and
+/// synthetic line are fixed for the indicator's lifetime.
+struct Stripes {
+    /// One padded word per stripe; the length is a power of two.
+    words: Box<[CachePadded<AtomicU64>]>,
+    /// `log2(words.len())`.
+    shift: u32,
+    /// Synthetic base address of the stripe array (one line per stripe).
+    addr: usize,
+}
+
+impl Stripes {
+    #[inline]
+    fn capacity(&self) -> usize {
+        self.words.len() * FLAT_CAPACITY
+    }
+
+    /// `(stripe, bit)` of `tid`.
+    #[inline]
+    fn split(&self, tid: usize) -> (usize, u64) {
+        // Hard assert: silently aliasing an out-of-capacity tid onto
+        // another thread's bit would make removal unsound.
+        assert!(tid < self.capacity(), "tid {tid} exceeds reader capacity {}", self.capacity());
+        (tid & (self.words.len() - 1), 1u64 << (tid >> self.shift))
+    }
+
+    /// Inverse of [`Stripes::split`]: the tid registered at stripe `s`,
+    /// bit position `slot`.
+    #[inline]
+    fn unsplit(&self, s: usize, slot: usize) -> usize {
+        (slot << self.shift) | s
+    }
+
+    #[inline]
+    fn line_addr(&self, s: usize) -> usize {
+        self.addr + s * 64
+    }
 }
 
 impl ReaderIndicator {
@@ -88,57 +126,34 @@ impl ReaderIndicator {
     pub fn new(capacity: usize, home_addr: usize) -> ReaderIndicator {
         let capacity = capacity.max(1);
         if capacity <= FLAT_CAPACITY {
-            return ReaderIndicator {
-                summary: AtomicU64::new(0),
-                stripes: Box::new([]),
-                stripe_shift: 0,
-                capacity: FLAT_CAPACITY,
-                home_addr,
-                stripes_addr: 0,
-            };
+            return ReaderIndicator { summary: AtomicU64::new(0), striped: None, home_addr };
         }
         let n_stripes = capacity.div_ceil(FLAT_CAPACITY).next_power_of_two().min(64);
-        let stripes_addr =
-            nztm_sim::synth_alloc_as(n_stripes * 64, nztm_sim::StructClass::ReaderStripes);
+        let addr = nztm_sim::synth_alloc_as(n_stripes * 64, nztm_sim::StructClass::ReaderStripes);
         ReaderIndicator {
             summary: AtomicU64::new(0),
-            stripes: (0..n_stripes).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
-            stripe_shift: n_stripes.trailing_zeros(),
-            capacity: n_stripes * FLAT_CAPACITY,
+            striped: Some(Box::new(Stripes {
+                words: (0..n_stripes).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
+                shift: n_stripes.trailing_zeros(),
+                addr,
+            })),
             home_addr,
-            stripes_addr,
         }
     }
 
     /// Registered-thread capacity (a multiple of 64).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.striped.as_ref().map_or(FLAT_CAPACITY, |st| st.capacity())
     }
 
     /// True when the wide (striped) representation is in use.
     pub fn is_striped(&self) -> bool {
-        !self.stripes.is_empty()
+        self.striped.is_some()
     }
 
     /// Number of stripes (0 in flat mode).
     pub fn n_stripes(&self) -> usize {
-        self.stripes.len()
-    }
-
-    #[inline]
-    fn split(&self, tid: usize) -> (usize, u64) {
-        // Hard assert: silently aliasing an out-of-capacity tid onto
-        // another thread's bit would make removal unsound.
-        assert!(tid < self.capacity, "tid {tid} exceeds reader capacity {}", self.capacity);
-        let stripe = tid & (self.stripes.len() - 1);
-        (stripe, 1u64 << (tid >> self.stripe_shift))
-    }
-
-    /// Inverse of [`ReaderIndicator::split`]: the tid registered at
-    /// stripe `s`, bit position `slot`.
-    #[inline]
-    fn unsplit(&self, s: usize, slot: usize) -> usize {
-        (slot << self.stripe_shift) | s
+        self.striped.as_ref().map_or(0, |st| st.words.len())
     }
 
     /// Synthetic address of the word `tid`'s registration RMWs touch:
@@ -146,10 +161,9 @@ impl ReaderIndicator {
     /// otherwise.
     #[inline]
     pub fn word_addr(&self, tid: usize) -> usize {
-        if self.stripes.is_empty() {
-            self.home_addr
-        } else {
-            self.stripes_addr + self.split(tid).0 * 64
+        match &self.striped {
+            None => self.home_addr,
+            Some(st) => st.line_addr(st.split(tid).0),
         }
     }
 
@@ -161,8 +175,9 @@ impl ReaderIndicator {
 
     /// Synthetic address of stripe `s` (striped mode only).
     pub fn stripe_addr(&self, s: usize) -> usize {
-        debug_assert!(s < self.stripes.len());
-        self.stripes_addr + s * 64
+        let st = self.striped.as_ref().expect("stripe_addr on a flat reader indicator");
+        debug_assert!(s < st.words.len());
+        st.line_addr(s)
     }
 
     /// Register `tid` as a reader. Returns `true` when the (striped)
@@ -174,13 +189,13 @@ impl ReaderIndicator {
     /// total order, which is the reader half of the Dekker protocol.
     #[inline]
     pub fn add(&self, tid: usize) -> bool {
-        if self.stripes.is_empty() {
+        let Some(st) = &self.striped else {
             assert!(tid < FLAT_CAPACITY, "tid {tid} needs a striped reader indicator");
             self.summary.fetch_or(1u64 << tid, Ordering::SeqCst);
             return false;
-        }
-        let (stripe, bit) = self.split(tid);
-        self.stripes[stripe].fetch_or(bit, Ordering::SeqCst);
+        };
+        let (stripe, bit) = st.split(tid);
+        st.words[stripe].fetch_or(bit, Ordering::SeqCst);
         let sbit = 1u64 << stripe;
         if self.summary.load(Ordering::SeqCst) & sbit == 0 {
             self.summary.fetch_or(sbit, Ordering::SeqCst);
@@ -197,32 +212,32 @@ impl ReaderIndicator {
     /// are never cleared at all.
     #[inline]
     pub fn remove(&self, tid: usize) -> bool {
-        if self.stripes.is_empty() {
+        let Some(st) = &self.striped else {
             assert!(tid < FLAT_CAPACITY, "tid {tid} needs a striped reader indicator");
             let bit = 1u64 << tid;
             return self.summary.fetch_and(!bit, Ordering::SeqCst) & bit != 0;
-        }
-        let (stripe, bit) = self.split(tid);
-        let was_set = self.stripes[stripe].fetch_and(!bit, Ordering::SeqCst) & bit != 0;
+        };
+        let (stripe, bit) = st.split(tid);
+        let was_set = st.words[stripe].fetch_and(!bit, Ordering::SeqCst) & bit != 0;
         was_set && self.summary.load(Ordering::SeqCst) & (1u64 << stripe) != 0
     }
 
     /// True if `tid` is currently registered.
     pub fn is_reader(&self, tid: usize) -> bool {
-        if self.stripes.is_empty() {
-            tid < FLAT_CAPACITY && self.summary.load(Ordering::SeqCst) & (1u64 << tid) != 0
-        } else {
-            let (stripe, bit) = self.split(tid);
-            self.stripes[stripe].load(Ordering::SeqCst) & bit != 0
+        match &self.striped {
+            None => tid < FLAT_CAPACITY && self.summary.load(Ordering::SeqCst) & (1u64 << tid) != 0,
+            Some(st) => {
+                let (stripe, bit) = st.split(tid);
+                st.words[stripe].load(Ordering::SeqCst) & bit != 0
+            }
         }
     }
 
     /// Number of currently registered readers.
     pub fn reader_count(&self) -> usize {
-        if self.stripes.is_empty() {
-            self.summary.load(Ordering::SeqCst).count_ones() as usize
-        } else {
-            self.stripes.iter().map(|s| s.load(Ordering::SeqCst).count_ones() as usize).sum()
+        match &self.striped {
+            None => self.summary.load(Ordering::SeqCst).count_ones() as usize,
+            Some(st) => st.words.iter().map(|w| w.load(Ordering::SeqCst).count_ones() as usize).sum(),
         }
     }
 
@@ -233,18 +248,18 @@ impl ReaderIndicator {
     /// stripes are scanned otherwise.
     pub fn has_reader_other_than(&self, self_tid: usize) -> bool {
         let summary = self.summary.load(Ordering::SeqCst);
-        if self.stripes.is_empty() {
+        let Some(st) = &self.striped else {
             return summary & !(1u64 << self_tid) != 0;
-        }
+        };
         if summary == 0 {
             return false;
         }
-        let (own_stripe, own_bit) = self.split(self_tid);
+        let (own_stripe, own_bit) = st.split(self_tid);
         let mut rest = summary;
         while rest != 0 {
             let s = rest.trailing_zeros() as usize;
             rest &= rest - 1;
-            let mut word = self.stripes[s].load(Ordering::SeqCst);
+            let mut word = st.words[s].load(Ordering::SeqCst);
             if s == own_stripe {
                 word &= !own_bit;
             }
@@ -271,7 +286,7 @@ impl ReaderIndicator {
     /// prior owner CAS and revalidate out (the Dekker argument).
     pub fn visit_readers(&self, skip_tid: usize, mut visit: impl FnMut(ReaderVisit)) {
         let summary = self.summary.load(Ordering::SeqCst);
-        if self.stripes.is_empty() {
+        let Some(st) = &self.striped else {
             let mut mask = summary & !(1u64 << skip_tid);
             while mask != 0 {
                 let t = mask.trailing_zeros() as usize;
@@ -279,17 +294,17 @@ impl ReaderIndicator {
                 visit(ReaderVisit::Reader { tid: t });
             }
             return;
-        }
+        };
         let mut rest = summary;
         while rest != 0 {
             let s = rest.trailing_zeros() as usize;
             rest &= rest - 1;
-            visit(ReaderVisit::Stripe { index: s, addr: self.stripe_addr(s) });
-            let mut word = self.stripes[s].load(Ordering::SeqCst);
+            visit(ReaderVisit::Stripe { index: s, addr: st.line_addr(s) });
+            let mut word = st.words[s].load(Ordering::SeqCst);
             while word != 0 {
                 let slot = word.trailing_zeros() as usize;
                 word &= word - 1;
-                let tid = self.unsplit(s, slot);
+                let tid = st.unsplit(s, slot);
                 if tid != skip_tid {
                     visit(ReaderVisit::Reader { tid });
                 }
@@ -311,8 +326,8 @@ pub enum ReaderVisit {
 impl std::fmt::Debug for ReaderIndicator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReaderIndicator")
-            .field("capacity", &self.capacity)
-            .field("stripes", &self.stripes.len())
+            .field("capacity", &self.capacity())
+            .field("stripes", &self.n_stripes())
             .field("summary", &self.summary.load(Ordering::SeqCst))
             .finish()
     }
@@ -425,6 +440,16 @@ mod tests {
         assert_eq!(readers, vec![0, 1]);
         assert_eq!(stripes.len(), 2);
         assert_eq!(stripes[0].1, r.stripe_addr(stripes[0].0));
+    }
+
+    #[test]
+    fn indicator_is_three_words() {
+        // Summary, striped-mode pointer (null niche: `None` is one null
+        // word), home address. Everything striped mode needs is boxed,
+        // so the indicator every object header embeds stays this size.
+        assert!(std::mem::size_of::<ReaderIndicator>() <= 24);
+        let flat = ReaderIndicator::new(64, 0x40);
+        assert_eq!((flat.summary_addr(), flat.n_stripes()), (0x40, 0));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::trace::Trace;
 use crate::txn::Abort;
 use nztm_sim::Platform;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Object-granular transactional system: the common interface of every
@@ -184,21 +184,79 @@ impl<T: 'static> FieldWord for Handle<T> {
     }
 }
 
+/// Slots per [`ObjPool`] chunk.
+const CHUNK: usize = 4096;
+
+/// One [`ObjPool`] slot.
+type Slot<S, T> = OnceLock<<S as TmSys>::Obj<T>>;
+
 /// A fixed-capacity, append-only pool of transactional objects, owned by
 /// a data structure. Allocation is lock-free (bump index + per-slot
 /// `OnceLock`); lookup is wait-free.
+///
+/// Slots come in chunks of 4096, built by the first allocation that
+/// lands in a chunk, so a pool sized well above what a run consumes
+/// costs one pointer per chunk until it is used. Chunk installation is a
+/// CAS rather than a `OnceLock`, whose initializer makes concurrent
+/// callers wait: a thread that loses the race frees its own chunk and
+/// uses the winner's, so no allocating thread ever waits for another.
 pub struct ObjPool<S: TmSys, T: TmData> {
-    slots: Box<[OnceLock<S::Obj<T>>]>,
+    /// First slot of each chunk; null until the chunk is built. Chunk
+    /// `c` holds `chunk_len(c)` slots.
+    chunks: Box<[AtomicPtr<Slot<S, T>>]>,
+    capacity: usize,
     next: AtomicUsize,
+    _owns: PhantomData<Slot<S, T>>,
 }
 
 impl<S: TmSys, T: TmData> ObjPool<S, T> {
-    /// Create a pool able to hold `capacity` objects.
+    /// Create a pool able to hold `capacity` objects. Panics above
+    /// `u32::MAX`: a [`Handle`] is a `u32` index.
     pub fn new(capacity: usize) -> Self {
+        assert!(
+            capacity <= u32::MAX as usize,
+            "ObjPool capacity {capacity} exceeds the u32 handle space"
+        );
         ObjPool {
-            slots: (0..capacity).map(|_| OnceLock::new()).collect(),
+            chunks: (0..capacity.div_ceil(CHUNK)).map(|_| AtomicPtr::default()).collect(),
+            capacity,
             next: AtomicUsize::new(0),
+            _owns: PhantomData,
         }
+    }
+
+    /// Slots in chunk `c`: all but the last chunk are full.
+    fn chunk_len(&self, c: usize) -> usize {
+        CHUNK.min(self.capacity - c * CHUNK)
+    }
+
+    /// Chunk `c`'s slots, if it has been built.
+    fn chunk(&self, c: usize) -> Option<&[Slot<S, T>]> {
+        let ptr = self.chunks[c].load(Ordering::Acquire);
+        // SAFETY: a non-null chunk pointer came from a `Box<[_]>` of
+        // `chunk_len(c)` slots and is freed only by `Drop`.
+        (!ptr.is_null()).then(|| unsafe { std::slice::from_raw_parts(ptr, self.chunk_len(c)) })
+    }
+
+    /// Chunk `c`'s slots, building the chunk if no allocation has yet.
+    fn chunk_or_build(&self, c: usize) -> &[Slot<S, T>] {
+        if let Some(slots) = self.chunk(c) {
+            return slots;
+        }
+        let len = self.chunk_len(c);
+        let fresh: Box<[Slot<S, T>]> = (0..len).map(|_| OnceLock::new()).collect();
+        let fresh = Box::into_raw(fresh) as *mut Slot<S, T>;
+        let installed = self.chunks[c].compare_exchange(
+            std::ptr::null_mut(),
+            fresh,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        if installed.is_err() {
+            // SAFETY: `fresh` lost the race and was never published.
+            drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(fresh, len)) });
+        }
+        self.chunk(c).expect("chunk installed above")
     }
 
     /// Allocate a fresh object initialized to `init`.
@@ -209,12 +267,12 @@ impl<S: TmSys, T: TmData> ObjPool<S, T> {
     pub fn alloc(&self, sys: &S, init: T) -> Handle<T> {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         assert!(
-            i < self.slots.len(),
+            i < self.capacity,
             "ObjPool capacity {} exhausted — size the pool for the workload",
-            self.slots.len()
+            self.capacity
         );
         let obj = sys.alloc(init);
-        self.slots[i]
+        self.chunk_or_build(i / CHUNK)[i % CHUNK]
             .set(obj)
             .unwrap_or_else(|_| unreachable!("slot {i} double-initialized"));
         Handle(i as u32, PhantomData)
@@ -222,12 +280,15 @@ impl<S: TmSys, T: TmData> ObjPool<S, T> {
 
     /// Look up a handle.
     pub fn get(&self, h: Handle<T>) -> &S::Obj<T> {
-        self.slots[h.index()].get().expect("dangling handle: slot never allocated")
+        let i = h.index();
+        self.chunk(i / CHUNK)
+            .and_then(|slots| slots[i % CHUNK].get())
+            .expect("dangling handle: slot never allocated")
     }
 
     /// Number of objects allocated so far.
     pub fn len(&self) -> usize {
-        self.next.load(Ordering::Relaxed).min(self.slots.len())
+        self.next.load(Ordering::Relaxed).min(self.capacity)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -235,7 +296,21 @@ impl<S: TmSys, T: TmData> ObjPool<S, T> {
     }
 
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
+    }
+}
+
+impl<S: TmSys, T: TmData> Drop for ObjPool<S, T> {
+    fn drop(&mut self) {
+        for c in 0..self.chunks.len() {
+            let ptr = *self.chunks[c].get_mut();
+            if !ptr.is_null() {
+                let len = self.chunk_len(c);
+                // SAFETY: built by `chunk_or_build` from a `Box<[_]>` of
+                // `len` slots; no reference outlives `&mut self`.
+                drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len)) });
+            }
+        }
     }
 }
 
@@ -289,6 +364,69 @@ mod tests {
         let pool: ObjPool<Sys, u64> = ObjPool::new(1);
         pool.alloc(&s, 1);
         pool.alloc(&s, 2);
+    }
+
+    #[test]
+    fn allocations_straddling_chunk_boundaries_resolve_to_their_own_values() {
+        let s = sys();
+        let pool: ObjPool<Sys, u64> = ObjPool::new(3 * CHUNK);
+        let handles: Vec<_> = (0..CHUNK as u64 + 2).map(|v| pool.alloc(&s, v * 10)).collect();
+        for i in [0, CHUNK - 1, CHUNK, CHUNK + 1] {
+            assert_eq!(handles[i].index(), i);
+            assert_eq!(Sys::peek(pool.get(handles[i])), i as u64 * 10, "slot {i}");
+        }
+        assert_eq!(pool.len(), CHUNK + 2);
+        assert!(pool.chunk(2).is_none(), "chunks are built on first use");
+    }
+
+    #[test]
+    fn concurrent_allocation_across_chunks_yields_distinct_resolving_handles() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 2 * CHUNK + 100;
+        let s = sys();
+        let pool: ObjPool<Sys, u64> = ObjPool::new(THREADS * PER_THREAD);
+        let per_thread: Vec<Vec<(Handle<u64>, u64)>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (s, pool) = (&s, &pool);
+                    scope.spawn(move || {
+                        (0..PER_THREAD as u64)
+                            .map(|k| {
+                                let v = (t as u64) << 32 | k;
+                                (pool.alloc(s, v), v)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let mut seen = std::collections::HashSet::new();
+        for (h, v) in per_thread.into_iter().flatten() {
+            assert!(seen.insert(h), "handle {h:?} handed out twice");
+            assert_eq!(Sys::peek(pool.get(h)), v);
+        }
+        assert_eq!(seen.len(), pool.capacity());
+        assert_eq!(pool.len(), pool.capacity());
+    }
+
+    #[test]
+    #[should_panic(expected = "ObjPool capacity 4101 exhausted")]
+    fn partial_last_chunk_is_exhausted_at_exactly_capacity() {
+        let s = sys();
+        let pool: ObjPool<Sys, u64> = ObjPool::new(CHUNK + 5);
+        for v in 0..CHUNK as u64 + 5 {
+            pool.alloc(&s, v);
+        }
+        assert_eq!(pool.len(), CHUNK + 5);
+        pool.alloc(&s, 0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "exceeds the u32 handle space")]
+    fn capacity_beyond_the_handle_space_is_rejected() {
+        let _ = ObjPool::<Sys, u64>::new(u32::MAX as usize + 1);
     }
 
     #[test]

@@ -315,7 +315,7 @@ impl SlotIndex {
 
     #[inline]
     fn hash(key: u64) -> u64 {
-        // splitmix64 finalizer: headers are 64-byte aligned, so the low
+        // splitmix64 finalizer: headers are heap blocks, so the low
         // bits of the raw address carry no entropy.
         let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

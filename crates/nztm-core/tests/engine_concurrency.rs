@@ -115,6 +115,20 @@ fn bank_transfers<M: ModePolicy + 'static>(read_mode: ReadMode) {
     assert_eq!(total, ACCOUNTS as u64 * INITIAL, "money conserved");
 }
 
+/// An invisible reader upgrading to a writer must see a settled owner's
+/// version bump. While the upgrade check could run between an owner's
+/// CAS and its bump, an engine lost an update in about one bank run in
+/// a hundred, so a single run rarely showed it; this loop failed in two
+/// of three runs on a 2-CPU host.
+#[test]
+fn invisible_reads_conserve_money_across_repeated_runs() {
+    for _ in 0..100 {
+        bank_transfers::<Blocking>(ReadMode::Invisible);
+        bank_transfers::<Nonblocking>(ReadMode::Invisible);
+        bank_transfers::<ScssMode>(ReadMode::Invisible);
+    }
+}
+
 #[test]
 fn bzstm_bank_conserves_money() {
     bank_transfers::<Blocking>(ReadMode::Visible);

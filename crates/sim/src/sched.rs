@@ -254,12 +254,12 @@ pub struct Machine {
     cfg: MachineConfig,
     /// Count of yields, for diagnostics.
     yields: AtomicU64,
-    /// Host-line → synthetic-line translation. Host heap addresses vary
-    /// from run to run (allocator state, ASLR); assigning synthetic lines
-    /// in first-access order makes the cache model — and therefore the
-    /// whole simulation — deterministic, provided objects do not share
-    /// host cache lines (the STM types are 64-byte aligned/padded for
-    /// exactly this reason).
+    /// Line translation in first-access order. The engines charge
+    /// synthetic addresses (`synth_alloc`), never host ones, so objects
+    /// never share a line here whatever the host allocator does; the
+    /// synthetic base still depends on what the process allocated
+    /// before, and renumbering lines by first access makes the cache
+    /// model — and therefore the whole simulation — deterministic.
     line_map: Mutex<std::collections::HashMap<u64, u64>>,
     next_line: AtomicU64,
     /// Coherence snoop: invoked for every memory access (after line

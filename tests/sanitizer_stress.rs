@@ -10,7 +10,7 @@
 //! schedule digest, and machine handoff trace.
 
 use nztm_core::cm::{KarmaDeadlock, Polite};
-use nztm_core::{Bzstm, NzBuilder, NzConfig, Nzstm, NzstmScss};
+use nztm_core::{NzBuilder, NzConfig, Nzstm, NzstmScss};
 use nztm_htm::{AtmtpConfig, BestEffortHtm, HybridConfig, NztmHybrid};
 use nztm_sim::{Machine, MachineConfig, Native, SimPlatform};
 use nztm_workloads::harness::{stress_native, stress_sim, StressConfig};
