@@ -16,9 +16,6 @@
 //! universe (the authors' Simics cluster and pre-production Rock
 //! silicon vs this crate's deterministic simulator and host threads).
 
-pub mod attrib;
-pub mod hotpath;
-pub mod microbench;
 pub mod registry;
 pub mod report;
 pub mod suite;

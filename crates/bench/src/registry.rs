@@ -70,24 +70,6 @@ impl BackendCaps {
     };
 }
 
-/// One comma-free line describing the native-HTM path compiled into
-/// this binary — recorded in every bench report (and CI log) so a run
-/// always states which path its hybrid cells exercised instead of
-/// silently skipping. Comma-free because the flat JSON reader in
-/// [`crate::hotpath`] stops a field at the first comma.
-pub fn native_htm_status() -> String {
-    #[cfg(feature = "htm-native")]
-    {
-        use nztm_htm::native::NativeHtm;
-        let htm = NativeHtm::new(nztm_core::NativeHtmPolicy::Auto);
-        format!("htm-native built; auto decision: {}", htm.decision().describe())
-    }
-    #[cfg(not(feature = "htm-native"))]
-    {
-        "htm-native not built (simulated ATMTP model only)".to_string()
-    }
-}
-
 /// The non-NZTM software reference systems (the comparison bars of
 /// Fig. 3/4 that are not compositions of the core engine).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -7,7 +7,8 @@
 //! deterministically from (seed, schedule).
 
 use nztm_check::{
-    explore_random, judge, run_config, Backend, CheckConfig, CmKind, CM_KINDS,
+    explore_random, explore_random_with, judge, run_config, Backend, CheckConfig, CmKind,
+    CM_KINDS,
 };
 
 /// Every policy, including Adaptive, keeps the abort-storm adversary
@@ -140,13 +141,28 @@ fn adaptive_escalates_under_a_single_object_storm() {
 
 /// Karma vs Adaptive on the same storm: Adaptive is Karma plus bounded
 /// waiting, so it must not *lose* safety or progress anywhere the
-/// baseline succeeds (same schedules, same judge).
+/// baseline succeeds (same schedules, same judge), and it must not abort
+/// more per commit than Karma beyond 10 % + 0.05. Inputs: the 6-thread
+/// escalation storm, and 16- and 32-thread storms over 16 schedules.
 #[test]
 fn adaptive_matches_karma_safety_on_fuzzed_schedules() {
-    for cm in [CmKind::Karma, CmKind::Adaptive] {
-        let base = CheckConfig { cm, ..escalation_storm() };
-        let report = explore_random(&base, 6, 4);
-        assert!(report.failure.is_none(), "{}: {:?}", cm.name(), report.failure);
-        assert!(report.aborts > 0, "{}: storm must abort", cm.name());
+    for (threads, schedules) in [(6, 6), (16, 16), (32, 16)] {
+        let mut per_commit = [0.0; 2];
+        for (rate, cm) in per_commit.iter_mut().zip([CmKind::Karma, CmKind::Adaptive]) {
+            let base = CheckConfig { cm, threads, ..escalation_storm() };
+            let commits = std::cell::Cell::new(0u64);
+            let report = explore_random_with(&base, schedules, 4, |cfg, out| {
+                commits.set(commits.get() + out.stats.commits);
+                judge(cfg, out)
+            });
+            assert!(report.failure.is_none(), "{}: {:?}", cm.name(), report.failure);
+            assert!(report.aborts > 0, "{}: storm must abort", cm.name());
+            *rate = report.aborts as f64 / commits.get() as f64;
+        }
+        let [karma, adaptive] = per_commit;
+        assert!(
+            adaptive <= karma * 1.10 + 0.05,
+            "{threads} threads: Adaptive aborts {adaptive:.3}/commit, Karma {karma:.3}"
+        );
     }
 }

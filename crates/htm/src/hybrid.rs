@@ -288,18 +288,26 @@ impl<P: Platform, H: HtmBackend> TmSys for NztmHybrid<P, H> {
         }
 
         // Software fallback: this logical transaction aborted in hardware
-        // at least once (the embedded STM separately counts software
-        // retries of its own). With the hardware loop skipped entirely
+        // at least once. With the hardware loop skipped entirely
         // (`max_hw == 0`) this is the primary path, not a fallback.
         if attempts > 0 {
             stats.fallbacks.bump();
-            stats.txns_with_aborts.bump();
             self.trace_hw(core, nztm_core::trace::EventKind::HtmFallback, attempts, 0);
         }
-        self.stm.run(|tx| {
+        let mut sw_attempts = 0u64;
+        let r = self.stm.run(|tx| {
+            sw_attempts += 1;
             let mut htx = HybridTx::Sw { sys: self, tx };
             f(&mut htx)
-        })
+        });
+        // One logical transaction counts once in `txns_with_aborts`. The
+        // embedded STM counts it when one of its own attempts aborted;
+        // a fallback that committed at its first software attempt is
+        // counted here.
+        if attempts > 0 && sw_attempts == 1 {
+            stats.txns_with_aborts.bump();
+        }
+        r
     }
 
     fn read<T: TmData>(tx: &mut Self::Tx<'_>, obj: &Self::Obj<T>) -> Result<T, Abort> {

@@ -195,3 +195,61 @@ fn big_read_sets_fall_back() {
     hy.htm().uninstall();
     let _ = p.n_cores();
 }
+
+/// Counter reconciliation on a contended hybrid run: each logical
+/// transaction counts once in `txns_with_aborts`, and the per-cause
+/// abort counters (software causes plus hardware classes) add up to the
+/// aborted attempts the closures observed. A fallback whose software
+/// path also aborted is the case that used to count twice.
+#[test]
+fn abort_counters_reconcile_on_a_contended_run() {
+    const CORES: usize = 4;
+    const TXNS: u64 = 150;
+    let (m, _p, hy) = setup(CORES, AtmtpConfig::default());
+    let objs: Arc<Vec<_>> = Arc::new((0..2).map(|_| hy.alloc(0u64)).collect());
+    // Summed over threads: closure invocations, and logical transactions
+    // that needed more than one.
+    let invocations = Arc::new(AtomicU64::new(0));
+    let with_aborts = Arc::new(AtomicU64::new(0));
+    let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..CORES)
+        .map(|tid| {
+            let hy = Arc::clone(&hy);
+            let objs = Arc::clone(&objs);
+            let (invocations, with_aborts) = (Arc::clone(&invocations), Arc::clone(&with_aborts));
+            Box::new(move || {
+                let mut rng = DetRng::new(5).split(tid as u64);
+                for _ in 0..TXNS {
+                    let i = rng.next_below(2) as usize;
+                    let mut calls = 0u64;
+                    hy.execute(|tx| {
+                        calls += 1;
+                        let a = NztmHybrid::read(tx, &objs[0])?;
+                        let b = NztmHybrid::read(tx, &objs[1])?;
+                        NztmHybrid::write(tx, &objs[i], &(if i == 0 { a } else { b } + 1))
+                    });
+                    invocations.fetch_add(calls, Ordering::Relaxed);
+                    with_aborts.fetch_add(u64::from(calls > 1), Ordering::Relaxed);
+                }
+            }) as Box<dyn FnOnce() + Send>
+        })
+        .collect();
+    m.run(bodies);
+    let st = hy.stats_snapshot();
+    hy.htm().uninstall();
+    let total = CORES as u64 * TXNS;
+    assert_eq!(objs.iter().map(|o| o.read_untracked()).sum::<u64>(), total);
+    assert_eq!(st.commits, total, "{st:?}");
+    assert!(st.fallbacks > 0 && st.aborts() > 0, "the run must fall back and abort in software: {st:?}");
+    assert!(st.txns_with_aborts <= st.commits, "{st:?}");
+    assert_eq!(st.txns_with_aborts, with_aborts.load(Ordering::Relaxed), "{st:?}");
+    assert_eq!(
+        st.htm_conflict_aborts + st.htm_capacity_aborts + st.htm_explicit_aborts + st.htm_other_aborts,
+        st.htm_aborts,
+        "{st:?}"
+    );
+    assert_eq!(
+        st.aborts() + st.htm_aborts,
+        invocations.load(Ordering::Relaxed) - st.commits,
+        "{st:?}"
+    );
+}

@@ -1369,7 +1369,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 let v = s.load(std::sync::atomic::Ordering::Relaxed);
                 // Failure is detected by the *next* validate; stores after
                 // AbortNowPlease simply do not happen.
-                let _ = self.scss_store(ctx, d, v);
+                let _ = self.scss_store(ctx, d, v, None);
             }
         } else {
             for (d, s) in dst.iter().zip(src) {
@@ -1379,13 +1379,18 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     }
 
     /// The Single-Compare Single-Store: atomically { if my AbortNowPlease
-    /// is clear, store }. Returns whether the store happened.
+    /// is clear, store }. Returns whether the store happened. An eager
+    /// data write passes `eager`: the object's header address and the
+    /// writer's own backup word, for sanitizer rule 2.
     fn scss_store(
         &self,
         ctx: &mut ThreadCtx,
         word: &std::sync::atomic::AtomicU64,
         value: u64,
+        eager: Option<(usize, u64)>,
     ) -> bool {
+        #[cfg(not(feature = "sanitize"))]
+        let _ = eager;
         hot_stat!(ctx, scss_stores);
         self.platform.work(self.cfg.scss_cycles);
         let me = Self::me(ctx);
@@ -1394,6 +1399,14 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             if me.abort_requested() {
                 false
             } else {
+                // Rule 2 is checked only once the store is sure to happen:
+                // a writer whose ownership was stolen may find the
+                // object's backup word already taken by the thief, but
+                // none of its stores lands.
+                #[cfg(feature = "sanitize")]
+                if let Some((h_addr, backup_raw)) = eager {
+                    self.san.eager_write(h_addr, backup_raw);
+                }
                 word.store(value, std::sync::atomic::Ordering::Relaxed);
                 true
             }
@@ -1812,16 +1825,19 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         ctx.scratch.resize(n, 0);
         value.encode(&mut ctx.scratch);
         match &ctx.write_set.get(idx).expect("indexed write entry").target {
-            WriteTarget::InPlace { .. } => {
+            &WriteTarget::InPlace { backup_raw } => {
                 // Yield-point annotation modeling preemption between the
                 // last validation and the in-place store — the window the
                 // §2.2 acknowledgement handshake exists to protect
                 // (deliberately *not* re-validated after; `sanitize`
                 // builds only, no-op otherwise).
                 self.san_point(ctx, tid, crate::sanitizer::Point::EagerWrite);
+                // Rule 2 for SCSS is checked inside `scss_store`.
                 #[cfg(feature = "sanitize")]
-                self.san
-                    .eager_write(obj.header().addr(), obj.header().backup_raw());
+                if !M::SCSS {
+                    self.san
+                        .eager_write(obj.header().addr(), obj.header().backup_raw());
+                }
                 self.platform.mem_nb(obj.data_addr(), n * 8, AccessKind::Write);
                 if M::SCSS {
                     // Dirty-word write-back: an SCSS whose store would not
@@ -1833,7 +1849,8 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                     let scratch = std::mem::take(&mut ctx.scratch);
                     for (d, v) in obj.data_words().iter().zip(&scratch) {
                         if d.load(std::sync::atomic::Ordering::Relaxed) != *v {
-                            let _ = self.scss_store(ctx, d, *v);
+                            let eager = Some((obj.header().addr(), backup_raw));
+                            let _ = self.scss_store(ctx, d, *v, eager);
                         }
                     }
                     ctx.scratch = scratch;

@@ -16,7 +16,10 @@
 //!    post-barrier steal, which is the §2.3.2 rule).
 //! 2. **Eager writes require a live backup** — an `Active` owner storing
 //!    to in-place data while the object's backup pointer is null could
-//!    never be undone.
+//!    never be undone. Under SCSS the check runs on the writer's own
+//!    backup word, and only for a store that lands: a stolen writer may
+//!    find the object's word already taken by the thief, but its stores
+//!    fail.
 //! 3. **`Status = Aborted` is set only by the victim itself** — the §2.2
 //!    handshake: requesters set `AbortNowPlease`; only the victim
 //!    acknowledges. A peer observed `Aborted` without the victim having
@@ -498,7 +501,8 @@ impl Sanitizer {
     }
 
     /// An `Active` owner is about to store eagerly to in-place data;
-    /// `backup_raw` is the object's backup word.
+    /// `backup_raw` is the object's backup word, or under SCSS the
+    /// writer's own, checked once its store is sure to land.
     pub fn eager_write(&self, h_addr: usize, backup_raw: u64) {
         if backup_raw != 0 {
             return;

@@ -359,3 +359,90 @@ fn abort_heavy_churn_keeps_restore_invariant() {
     let st = stm.stats_snapshot();
     assert!(st.aborts() > 0, "churn must actually abort: {st:?}");
 }
+
+// ---------------------------------------------------------------------------
+// 6. Rule 2 under SCSS: a writer whose ownership was stolen between its
+//    last validation and an eager store is not flagged. The thief has
+//    taken the object's backup word, but the victim's SCSS store fails.
+// ---------------------------------------------------------------------------
+
+/// Native threads with one gate: once armed, thread 0's next yield point
+/// parks it until thread 1 has run a whole transaction.
+struct Gated {
+    inner: Arc<Native>,
+    armed: std::sync::atomic::AtomicBool,
+    meet: std::sync::Barrier,
+}
+
+impl Platform for Gated {
+    fn work(&self, cycles: u64) {
+        self.inner.work(cycles);
+    }
+    fn mem(&self, addr: usize, bytes: usize, kind: nztm_sim::AccessKind) {
+        self.inner.mem(addr, bytes, kind);
+    }
+    fn yield_now(&self) {
+        if self.core_id() == 0 && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            self.meet.wait(); // thread 1 may start
+            self.meet.wait(); // thread 1 has committed
+        }
+    }
+    fn spin_wait(&self) {
+        self.inner.spin_wait();
+    }
+    fn now(&self) -> u64 {
+        self.inner.now()
+    }
+    fn core_id(&self) -> usize {
+        self.inner.core_id()
+    }
+    fn n_cores(&self) -> usize {
+        self.inner.n_cores()
+    }
+}
+
+#[test]
+fn stolen_scss_writer_is_not_flagged_for_a_missing_backup() {
+    let p = Arc::new(Gated {
+        inner: Native::new(2),
+        armed: Default::default(),
+        meet: std::sync::Barrier::new(2),
+    });
+    let stm = NzBuilder::new(Arc::clone(&p)).cm(Arc::new(Aggressive)).build_scss();
+    // A zero pause budget makes every decision point a bare yield, so
+    // the gate parks the victim exactly at its `EagerWrite` point.
+    stm.sanitizer().set_schedule(1, 0);
+    p.inner.register_thread_as(0);
+    let obj = stm.new_obj(0u64);
+    let mut victim_attempts = 0;
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            p.inner.register_thread_as(0);
+            stm.run(|tx| {
+                victim_attempts += 1;
+                tx.write(&obj, &1)?;
+                // The object is ours now: the next write goes straight
+                // from validation to the eager store, and that yield
+                // point is where the thief runs.
+                if victim_attempts == 1 {
+                    p.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+                }
+                tx.write(&obj, &2)
+            });
+        });
+        scope.spawn(|| {
+            p.inner.register_thread_as(1);
+            p.meet.wait();
+            // Aggressive: request the victim's abort, barrier, steal,
+            // commit, and with the commit take the backup word back.
+            stm.run(|tx| tx.write(&obj, &7));
+            p.meet.wait();
+        });
+    });
+    let st = stm.stats_snapshot();
+    assert_eq!(victim_attempts, 2, "the victim's first attempt was stolen from: {st:?}");
+    assert!(st.scss_failures > 0, "the stolen store must fail: {st:?}");
+    assert_eq!(obj.read_untracked(), 2);
+    let v = stm.sanitizer().violations();
+    assert!(v.is_empty(), "{v:?}\n{}", stm.sanitizer().replay_dump());
+}
