@@ -13,7 +13,8 @@
 //! `--tds` runs *only* the transactional-data-structure campaign (the
 //! `tds-check` CI job): the hash map, skiplist and MPMC queue on every
 //! backend under bounded-exhaustive, PCT-random and abort-storm
-//! exploration, judged by the ADT-level Wing-Gong specs.
+//! exploration, plus a node-reuse script on both maps, judged by the
+//! ADT-level Wing-Gong specs.
 //!
 //! `--deep` appends the nightly campaign: deeper bounded-exhaustive
 //! enumeration, long PCT-style random blocks, bounded-exhaustive at a
@@ -113,6 +114,15 @@ fn tds_campaign(c: &mut Campaign, deep: bool) {
                 &format!("{name} {} abort storm", wl.name()),
                 &CheckConfig::tds_abort_storm(backend, wl),
                 |b| explore_random(b, storm_seeds, 4),
+            );
+        }
+        // Node reuse: every key removed and re-inserted, so recycled
+        // nodes (the ABA case) reach the judge.
+        for wl in [Workload::MapHashChurn, Workload::MapSkipChurn] {
+            c.stage(
+                &format!("{name} random {}", wl.name()),
+                &CheckConfig::tds_churn(backend, wl),
+                |b| explore_random(b, rand_seeds, 4),
             );
         }
     }

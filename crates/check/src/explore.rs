@@ -101,7 +101,10 @@ pub fn judge(cfg: &CheckConfig, out: &RunOutcome) -> Result<(), CheckError> {
                 }
             }
         }
-        Workload::MapHash | Workload::MapSkip => {
+        Workload::MapHash
+        | Workload::MapSkip
+        | Workload::MapHashChurn
+        | Workload::MapSkipChurn => {
             if out.ops.len() <= LIN_MAX_OPS {
                 let spec = MapSpec { keys: (0..cfg.objects as u64).collect() };
                 linearizable(&spec, &out.ops).map_err(|e| CheckError::Lin(e.0))?;

@@ -127,6 +127,14 @@ pub enum Workload {
     MapHash,
     /// The same ADT operations on a [`nztm_tds::TdsSkipList`].
     MapSkip,
+    /// Node reuse on a [`nztm_tds::TdsHashMap`]: thread `t`'s op `2i`
+    /// inserts key `(t + i) % objects` and op `2i + 1` removes it, so
+    /// every key is removed and re-inserted once per thread and the
+    /// judge sees recycled nodes — the ABA case (checked by
+    /// [`crate::lin::MapSpec`]).
+    MapHashChurn,
+    /// The same node-reuse script on a [`nztm_tds::TdsSkipList`].
+    MapSkipChurn,
     /// Random enqueue/dequeue on a [`nztm_tds::TdsQueue`] of capacity
     /// `objects` (checked by [`crate::lin::QueueSpec`]).
     Queue,
@@ -139,6 +147,8 @@ impl Workload {
             Workload::Increment => "increment",
             Workload::MapHash => "map-hash",
             Workload::MapSkip => "map-skip",
+            Workload::MapHashChurn => "map-hash-churn",
+            Workload::MapSkipChurn => "map-skip-churn",
             Workload::Queue => "queue",
         }
     }
@@ -149,6 +159,8 @@ impl Workload {
             Workload::Increment,
             Workload::MapHash,
             Workload::MapSkip,
+            Workload::MapHashChurn,
+            Workload::MapSkipChurn,
             Workload::Queue,
         ]
         .into_iter()
@@ -158,7 +170,7 @@ impl Workload {
     /// Whether this workload drives a `nztm-tds` structure through ADT
     /// operations (rather than raw word transactions).
     pub fn is_tds(self) -> bool {
-        matches!(self, Workload::MapHash | Workload::MapSkip | Workload::Queue)
+        !matches!(self, Workload::Transfer | Workload::Increment)
     }
 }
 
@@ -262,6 +274,15 @@ impl CheckConfig {
     /// the handshake path runs under ADT operations too.
     pub fn tds_abort_storm(backend: Backend, workload: Workload) -> Self {
         CheckConfig { patience: 2, ops_per_thread: 3, ..CheckConfig::tds(backend, workload) }
+    }
+
+    /// Node-reuse run ([`Workload::MapHashChurn`] /
+    /// [`Workload::MapSkipChurn`]): each of the 3 threads inserts and
+    /// removes every key of the 3-key universe, so each key is removed
+    /// and re-inserted three times.
+    pub fn tds_churn(backend: Backend, workload: Workload) -> Self {
+        assert!(matches!(workload, Workload::MapHashChurn | Workload::MapSkipChurn));
+        CheckConfig { ops_per_thread: 6, ..CheckConfig::tds(backend, workload) }
     }
 
     /// Targeted adversary: thread 0 stalls mid-transaction long past the
@@ -509,18 +530,23 @@ enum TdsStruct<S: TmSys> {
 
 impl<S: TmSys> TdsStruct<S> {
     fn build(sys: &S, cfg: &CheckConfig) -> Self {
-        // Every *attempt* of an inserting operation allocates a node, and
-        // aborted attempts leave theirs as pool garbage (the DSTM-era
-        // idiom the tds crate documents), so abort storms need headroom
-        // proportional to the retry count. 200 attempts per operation is
-        // far beyond what any schedule inside the watchdog budget
-        // produces, and the slots are one `OnceLock` each.
+        // Removed nodes are reused through transactional free lists, but
+        // an inserting attempt that finds its list empty allocates, and
+        // if it then aborts its node stays pool garbage. Abort storms
+        // therefore need headroom proportional to the retry count. 200
+        // attempts per operation is far beyond what any schedule inside
+        // the watchdog budget produces, and a slot is built only when a
+        // node lands in its chunk.
         let cap = cfg.threads * cfg.ops_per_thread * 200;
         match cfg.workload {
             // Two buckets over a 3-key universe: collisions occur, so
             // chain traversal is exercised, without serializing all keys.
-            Workload::MapHash => TdsStruct::Map(TdsHashMap::new(sys, 2, cap)),
-            Workload::MapSkip => TdsStruct::Skip(TdsSkipList::new(sys, cap)),
+            Workload::MapHash | Workload::MapHashChurn => {
+                TdsStruct::Map(TdsHashMap::new(sys, 2, cap))
+            }
+            Workload::MapSkip | Workload::MapSkipChurn => {
+                TdsStruct::Skip(TdsSkipList::new(sys, cap))
+            }
             Workload::Queue => TdsStruct::Queue(TdsQueue::new(sys, cfg.objects)),
             other => unreachable!("{other:?} is not a tds workload"),
         }
@@ -609,8 +635,14 @@ fn tds_worker_body<S: TmSys>(
             };
             match &*st {
                 TdsStruct::Map(_) | TdsStruct::Skip(_) => {
-                    let key = rng.next_below(cfg.objects as u64);
-                    match rng.next_below(4) {
+                    let churn =
+                        matches!(cfg.workload, Workload::MapHashChurn | Workload::MapSkipChurn);
+                    let (key, op) = if churn {
+                        (((tid + i / 2) % cfg.objects) as u64, (i % 2) as u64)
+                    } else {
+                        (rng.next_below(cfg.objects as u64), rng.next_below(4))
+                    };
+                    match op {
                         0 => {
                             log.invoke(tid as u32, HistOp::MapInsert(key, val));
                             let r = sys.execute(|tx| {

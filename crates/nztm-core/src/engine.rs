@@ -786,13 +786,20 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 let r = ctx.read_set.get(i).expect("index in range");
                 let h = r.obj.header();
                 self.platform.mem(h.addr(), 8, AccessKind::Read);
+                // A settled owner, in place or through a locator, leaves
+                // the value a reader saw until the next acquisition bumps
+                // the version. (An inflated object stays inflated until a
+                // writer deflates it, so failing every read of one whose
+                // locator owner has settled would starve read-only
+                // transactions.)
+                let still_valid = |t: &TxnDesc| {
+                    std::ptr::eq(t, me_ptr)
+                        || (t.status() != Status::Active && h.version() == r.version)
+                };
                 let ok = match h.owner(&guard) {
                     OwnerRef::None => h.version() == r.version,
-                    OwnerRef::Txn(t, _) => {
-                        std::ptr::eq(t, me_ptr)
-                            || (t.status() != Status::Active && h.version() == r.version)
-                    }
-                    OwnerRef::Inflated(l, _) => std::ptr::eq(l.owner(), me_ptr),
+                    OwnerRef::Txn(t, _) => still_valid(t),
+                    OwnerRef::Inflated(l, _) => still_valid(l.owner()),
                 };
                 if !ok {
                     ctx.conflict_obj = h.addr() as u64;

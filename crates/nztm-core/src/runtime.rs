@@ -262,8 +262,10 @@ impl<S: TmSys, T: TmData> ObjPool<S, T> {
     /// Allocate a fresh object initialized to `init`.
     ///
     /// Allocation happens *outside* transactional control (as in DSTM-era
-    /// benchmarks): an object allocated by an attempt that later aborts is
-    /// simply garbage in the pool.
+    /// benchmarks), and a slot is never handed out twice. A structure that
+    /// removes objects reuses them itself, through transactional free
+    /// lists (as `nztm-tds` does), so the only garbage left in the pool is
+    /// objects allocated by attempts that later aborted.
     pub fn alloc(&self, sys: &S, init: T) -> Handle<T> {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         assert!(

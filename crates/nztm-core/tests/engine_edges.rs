@@ -101,6 +101,57 @@ fn read_own_write_through_locator() {
 }
 
 #[test]
+fn invisible_reader_commits_past_a_settled_locator() {
+    // Thread 0 owns the object and stalls; thread 1 inflates past it and
+    // commits. The object stays inflated while thread 0 has not
+    // acknowledged, and a read-only invisible transaction must still
+    // commit: its commit-time validation once rejected every inflated
+    // object it did not own itself, so the reader retried forever.
+    let cfg = NzConfig { patience: 20, read_mode: ReadMode::Invisible, ..NzConfig::default() };
+    let (p, s) = native::<Nonblocking>(2, cfg);
+    let obj = s.new_obj(100u64);
+    let acquired = AtomicBool::new(false);
+    let release = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            p.register_thread_as(0);
+            let mut first = true;
+            s.run(|tx| {
+                tx.write(&obj, &111)?;
+                if first {
+                    first = false;
+                    acquired.store(true, Ordering::SeqCst);
+                    while !release.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                Ok(())
+            });
+        });
+        scope.spawn(|| {
+            p.register_thread_as(1);
+            while !acquired.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            s.run(|tx| tx.update(&obj, |v| *v += 7));
+            let mut attempts = 0;
+            let seen = s.run_until_crash(|tx| {
+                attempts += 1;
+                if attempts > 100 {
+                    return Ok(None); // give up: the test fails below
+                }
+                tx.read(&obj).map(Some)
+            });
+            release.store(true, Ordering::SeqCst);
+            assert_eq!(seen, Some(107), "after {attempts} attempts");
+        });
+    });
+    let st = s.stats_snapshot();
+    assert!(st.inflations > 0, "scenario must exercise the locator path: {st:?}");
+    assert_eq!(obj.read_untracked(), 111);
+}
+
+#[test]
 fn backup_pool_reuse_kicks_in() {
     let (p, s) = native::<Nonblocking>(1, NzConfig::default());
     p.register_thread_as(0);

@@ -53,10 +53,23 @@
 //! effects roll back together: there are no partially applied
 //! operations, because every structural mutation is a transactional
 //! write undone by the engine's backup-restore (or discarded redo)
-//! machinery. Node allocation is the one non-transactional effect
-//! (DSTM-era idiom, see [`nztm_core::ObjPool::alloc`]): a node
-//! allocated by an attempt that later aborts is unreachable garbage in
-//! the pool, never a dangling link.
+//! machinery.
+//!
+//! That includes node reuse. A remove pushes the unlinked node onto a
+//! free list and an insert pops one, both with ordinary transactional
+//! reads and writes (the map keeps one list per bucket, the skiplist
+//! sixteen chosen by key), so on every backend a push or pop rolls back
+//! with its operation and conflicts like any other access. Only a fresh
+//! allocation, made when the list is empty, is outside the transaction
+//! (see [`nztm_core::ObjPool::alloc`]): an attempt that aborts after one
+//! leaves that node unreachable in the pool, never a dangling link.
+//!
+//! Reuse makes a node's key mutable. Under invisible reads an attempt
+//! validates only at commit, so a doomed one can meet a node recycled
+//! under a smaller key; every search therefore requires keys to rise
+//! strictly along its path and aborts with
+//! [`nztm_core::txn::AbortCause::Validation`] otherwise, rather than
+//! following links round a cycle.
 
 pub mod map;
 pub mod ordered;

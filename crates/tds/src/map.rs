@@ -6,13 +6,20 @@
 //! prefix. With enough buckets that chains stay short, operations on
 //! disjoint keys touch disjoint objects and never conflict (the ADT
 //! conflict-granularity property; see the crate docs).
+//!
+//! A removed entry is recycled through its bucket's free list, whose top
+//! lives in the bucket sentinel's otherwise unused `val` word (handle + 1,
+//! 0 = empty). The sentinel is read by every operation on the bucket
+//! anyway, so an insert that finds the list empty makes exactly the
+//! accesses it would make without recycling.
 
 use nztm_core::adt::{AdtOpDesc, AdtOpKind};
-use nztm_core::txn::Abort;
-use nztm_core::{tm_data_struct, Handle, ObjPool, TmSys};
+use nztm_core::txn::{Abort, AbortCause};
+use nztm_core::{tm_data_struct, FieldWord, Handle, ObjPool, TmSys};
 
 /// One map entry. Chains are sorted by key; `next` links within the
-/// bucket.
+/// bucket. A bucket sentinel keeps its free-list top in `val`; a free
+/// entry links to the next free one through `next`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MapNode {
     pub key: u64,
@@ -20,6 +27,24 @@ pub struct MapNode {
     pub next: Option<Handle<MapNode>>,
 }
 tm_data_struct!(MapNode { key: u64, val: u64, next: Option<Handle<MapNode>> });
+
+/// A free-list top as the sentinel's `val` word: handle + 1, 0 = empty.
+fn top_word(top: Option<Handle<MapNode>>) -> u64 {
+    top.map_or(0, |h| h.index() as u64 + 1)
+}
+
+fn top_of(word: u64) -> Option<Handle<MapNode>> {
+    word.checked_sub(1).map(Handle::from_word)
+}
+
+/// What [`TdsHashMap::find_prev`] read: the bucket sentinel, and the last
+/// node with a key below the search key (the sentinel itself if none).
+struct ChainPos {
+    sentinel_h: Handle<MapNode>,
+    sentinel: MapNode,
+    prev_h: Handle<MapNode>,
+    prev: MapNode,
+}
 
 /// Transactionally composable hash map from `u64` keys to `u64` values.
 pub struct TdsHashMap<S: TmSys> {
@@ -29,10 +54,11 @@ pub struct TdsHashMap<S: TmSys> {
 }
 
 impl<S: TmSys> TdsHashMap<S> {
-    /// A map with `buckets` chains able to hold `capacity` live entries.
-    /// Size the pool for the workload: inserts allocate (including
-    /// re-inserts after a remove — removed nodes become pool garbage, the
-    /// DSTM-era idiom), in-place value updates do not.
+    /// A map with `buckets` chains. The pool holds `capacity` entries
+    /// besides the sentinels; inserts take removed entries back from the
+    /// bucket's free list before allocating, so it must cover, summed
+    /// over buckets, the most entries each bucket holds at once, plus
+    /// one node per attempt that allocates and then aborts.
     pub fn new(sys: &S, buckets: usize, capacity: usize) -> Self {
         assert!(buckets > 0);
         let pool = ObjPool::new(capacity + buckets);
@@ -56,22 +82,28 @@ impl<S: TmSys> TdsHashMap<S> {
     }
 
     /// Walk `key`'s chain to the last node with a key `< key`.
-    fn find_prev(
-        &self,
-        tx: &mut S::Tx<'_>,
-        key: u64,
-    ) -> Result<(Handle<MapNode>, MapNode), Abort> {
-        let mut prev_h = self.heads[self.bucket(key)];
-        let mut prev = S::read(tx, self.pool.get(prev_h))?;
+    ///
+    /// Keys must rise strictly along the walk. A recycled node can carry
+    /// a smaller key than it had when an invisible-reading attempt
+    /// reached it; such an attempt is already doomed, and aborting here
+    /// keeps it from following links round a cycle before commit-time
+    /// validation catches it.
+    fn find_prev(&self, tx: &mut S::Tx<'_>, key: u64) -> Result<ChainPos, Abort> {
+        let sentinel_h = self.heads[self.bucket(key)];
+        let sentinel = S::read(tx, self.pool.get(sentinel_h))?;
+        let (mut prev_h, mut prev) = (sentinel_h, sentinel.clone());
         while let Some(cur_h) = prev.next {
             let cur = S::read(tx, self.pool.get(cur_h))?;
+            if prev_h != sentinel_h && cur.key <= prev.key {
+                return Err(Abort(AbortCause::Validation));
+            }
             if cur.key >= key {
                 break;
             }
             prev_h = cur_h;
             prev = cur;
         }
-        Ok((prev_h, prev))
+        Ok(ChainPos { sentinel_h, sentinel, prev_h, prev })
     }
 
     /// Insert `key → val`; returns the previous value if the key was
@@ -84,7 +116,7 @@ impl<S: TmSys> TdsHashMap<S> {
         val: u64,
     ) -> Result<Option<u64>, Abort> {
         self.note(tx, AdtOpKind::Insert, key);
-        let (prev_h, prev) = self.find_prev(tx, key)?;
+        let ChainPos { sentinel_h, mut sentinel, prev_h, prev } = self.find_prev(tx, key)?;
         if let Some(cur_h) = prev.next {
             let cur = S::read(tx, self.pool.get(cur_h))?;
             if cur.key == key {
@@ -92,36 +124,54 @@ impl<S: TmSys> TdsHashMap<S> {
                 return Ok(Some(cur.val));
             }
         }
-        let node = self.pool.alloc(sys, MapNode { key, val, next: prev.next });
-        S::write(tx, self.pool.get(prev_h), &MapNode { next: Some(node), ..prev })?;
+        let node = MapNode { key, val, next: prev.next };
+        let popped = top_of(sentinel.val);
+        let node_h = match popped {
+            Some(free_h) => {
+                let free = S::read(tx, self.pool.get(free_h))?;
+                sentinel.val = top_word(free.next);
+                S::write(tx, self.pool.get(free_h), &node)?;
+                free_h
+            }
+            None => self.pool.alloc(sys, node),
+        };
+        if prev_h == sentinel_h {
+            sentinel.next = Some(node_h);
+        } else {
+            S::write(tx, self.pool.get(prev_h), &MapNode { next: Some(node_h), ..prev })?;
+        }
+        if prev_h == sentinel_h || popped.is_some() {
+            S::write(tx, self.pool.get(sentinel_h), &sentinel)?;
+        }
         Ok(None)
     }
 
     /// Look up `key`.
     pub fn get_tx(&self, tx: &mut S::Tx<'_>, key: u64) -> Result<Option<u64>, Abort> {
         self.note(tx, AdtOpKind::Get, key);
-        let (_, prev) = self.find_prev(tx, key)?;
-        if let Some(cur_h) = prev.next {
-            let cur = S::read(tx, self.pool.get(cur_h))?;
-            if cur.key == key {
-                return Ok(Some(cur.val));
-            }
-        }
-        Ok(None)
+        self.get_tx_unnoted(tx, key)
     }
 
-    /// Remove `key`; returns the removed value if it was present.
+    /// Remove `key`; returns the removed value if it was present. The
+    /// entry goes onto its bucket's free list in the same transaction.
     pub fn remove_tx(&self, tx: &mut S::Tx<'_>, key: u64) -> Result<Option<u64>, Abort> {
         self.note(tx, AdtOpKind::Remove, key);
-        let (prev_h, prev) = self.find_prev(tx, key)?;
-        if let Some(cur_h) = prev.next {
-            let cur = S::read(tx, self.pool.get(cur_h))?;
-            if cur.key == key {
-                S::write(tx, self.pool.get(prev_h), &MapNode { next: cur.next, ..prev })?;
-                return Ok(Some(cur.val));
-            }
+        let ChainPos { sentinel_h, mut sentinel, prev_h, prev } = self.find_prev(tx, key)?;
+        let Some(cur_h) = prev.next else { return Ok(None) };
+        let cur = S::read(tx, self.pool.get(cur_h))?;
+        if cur.key != key {
+            return Ok(None);
         }
-        Ok(None)
+        if prev_h == sentinel_h {
+            sentinel.next = cur.next;
+        } else {
+            S::write(tx, self.pool.get(prev_h), &MapNode { next: cur.next, ..prev })?;
+        }
+        let free = MapNode { key: 0, val: 0, next: top_of(sentinel.val) };
+        S::write(tx, self.pool.get(cur_h), &free)?;
+        sentinel.val = top_word(Some(cur_h));
+        S::write(tx, self.pool.get(sentinel_h), &sentinel)?;
+        Ok(Some(cur.val))
     }
 
     /// Membership query.
@@ -131,7 +181,7 @@ impl<S: TmSys> TdsHashMap<S> {
     }
 
     fn get_tx_unnoted(&self, tx: &mut S::Tx<'_>, key: u64) -> Result<Option<u64>, Abort> {
-        let (_, prev) = self.find_prev(tx, key)?;
+        let ChainPos { prev, .. } = self.find_prev(tx, key)?;
         if let Some(cur_h) = prev.next {
             let cur = S::read(tx, self.pool.get(cur_h))?;
             if cur.key == key {
@@ -269,5 +319,59 @@ mod tests {
         assert_eq!(s.stats_snapshot().adt_ops, 4);
         #[cfg(not(feature = "stats"))]
         assert_eq!(s.stats_snapshot().adt_ops, 0);
+    }
+
+    #[test]
+    fn removed_nodes_are_reused() {
+        let s = sys();
+        let buckets = 16;
+        let m = TdsHashMap::new(&*s, buckets, 1 << 17);
+        for i in 0..100_000u64 {
+            m.insert(&*s, crate::spread(i) % 64, i);
+            m.remove(&*s, crate::spread(!i) % 64);
+        }
+        assert!(
+            m.pool.len() <= 64 + buckets + 8,
+            "{} nodes allocated for 64 keys",
+            m.pool.len() - buckets
+        );
+    }
+
+    #[test]
+    fn a_recycled_node_takes_a_new_key() {
+        let s = sys();
+        let m = TdsHashMap::new(&*s, 1, 64); // one bucket, one free list
+        for k in 1..=3u64 {
+            m.insert(&*s, k * 10, k);
+        }
+        let allocated = m.pool.len();
+        assert_eq!(m.remove(&*s, 20), Some(2));
+        assert_eq!(m.insert(&*s, 5, 50), None);
+        assert_eq!(m.insert(&*s, 40, 400), None);
+        assert_eq!(m.pool.len(), allocated + 1, "the first insert reused 20's node");
+        assert_eq!(m.snapshot(), vec![(5, 50), (10, 1), (30, 3), (40, 400)]);
+        assert_eq!(m.get(&*s, 20), None);
+    }
+
+    /// What a doomed invisible-reading attempt can meet once nodes are
+    /// recycled: a link back to a smaller key. The walk must abort, not
+    /// loop.
+    #[test]
+    fn a_falling_key_aborts_the_walk() {
+        let s = sys();
+        let m = TdsHashMap::new(&*s, 1, 8);
+        for k in [10u64, 20, 30] {
+            m.insert(&*s, k, k);
+        }
+        let mut chain = vec![];
+        let mut cur = Sys::peek(m.pool.get(m.heads[0])).next;
+        while let Some(h) = cur {
+            chain.push(h);
+            cur = Sys::peek(m.pool.get(h)).next;
+        }
+        let looped = MapNode { next: Some(chain[0]), ..Sys::peek(m.pool.get(chain[2])) };
+        s.execute(|tx| Sys::write(tx, m.pool.get(chain[2]), &looped));
+        let got = s.execute(|tx| Ok(m.get_tx(tx, 50)));
+        assert_eq!(got, Err(Abort(AbortCause::Validation)));
     }
 }

@@ -8,18 +8,29 @@
 //! exact, and removes the shared RNG a classic skiplist would contend
 //! on. An operation's footprint is its search path plus the towers it
 //! relinks: operations on well-separated keys touch disjoint objects.
+//!
+//! Removed nodes are recycled through 16 free lists, each headed by a
+//! sentinel node's `next0` and chosen by the key's spread, so a key's
+//! node always returns to the same list. The head is not a free
+//! list: every search reads it, and a remove writing it would conflict
+//! with all of them.
 
 use nztm_core::adt::{AdtOpDesc, AdtOpKind};
-use nztm_core::txn::Abort;
+use nztm_core::txn::{Abort, AbortCause};
 use nztm_core::{tm_data_struct, Handle, ObjPool, TmSys};
 
-/// Tower levels. With p = 1/4, four levels cover the few-thousand-entry
-/// maps these structures are sized for.
-pub const MAX_LEVEL: usize = 4;
+/// Tower levels. With p = 1/4, six levels leave about four of 4 096
+/// keys on the top level, so a search over a few thousand live entries
+/// is not dominated by a long walk along it.
+pub const MAX_LEVEL: usize = 6;
+
+/// Free lists of removed nodes, each headed by its own sentinel node.
+const FREE_LISTS: usize = 16;
 
 /// One skiplist node: key, value, and one forward link per level.
 /// (Separate fields rather than an array: `tm_data_struct!` fields each
-/// encode as one word.)
+/// encode as one word.) A free node has key and value 0 and links to the
+/// next free node through `next0`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SkipNode {
     pub key: u64,
@@ -28,6 +39,8 @@ pub struct SkipNode {
     pub next1: Option<Handle<SkipNode>>,
     pub next2: Option<Handle<SkipNode>>,
     pub next3: Option<Handle<SkipNode>>,
+    pub next4: Option<Handle<SkipNode>>,
+    pub next5: Option<Handle<SkipNode>>,
 }
 tm_data_struct!(SkipNode {
     key: u64,
@@ -36,15 +49,33 @@ tm_data_struct!(SkipNode {
     next1: Option<Handle<SkipNode>>,
     next2: Option<Handle<SkipNode>>,
     next3: Option<Handle<SkipNode>>,
+    next4: Option<Handle<SkipNode>>,
+    next5: Option<Handle<SkipNode>>,
 });
 
 impl SkipNode {
+    /// A node with no links.
+    fn unlinked(key: u64, val: u64) -> Self {
+        SkipNode {
+            key,
+            val,
+            next0: None,
+            next1: None,
+            next2: None,
+            next3: None,
+            next4: None,
+            next5: None,
+        }
+    }
+
     fn next(&self, level: usize) -> Option<Handle<SkipNode>> {
         match level {
             0 => self.next0,
             1 => self.next1,
             2 => self.next2,
-            _ => self.next3,
+            3 => self.next3,
+            4 => self.next4,
+            _ => self.next5,
         }
     }
 
@@ -53,7 +84,9 @@ impl SkipNode {
             0 => self.next0 = h,
             1 => self.next1 = h,
             2 => self.next2 = h,
-            _ => self.next3 = h,
+            3 => self.next3 = h,
+            4 => self.next4 = h,
+            _ => self.next5 = h,
         }
     }
 }
@@ -79,19 +112,23 @@ fn height_of(key: u64) -> usize {
 pub struct TdsSkipList<S: TmSys> {
     pool: ObjPool<S, SkipNode>,
     head: Handle<SkipNode>,
+    /// Free-list sentinels; `key`'s list is chosen by the top bits of its
+    /// spread (the low bits set its height).
+    free: [Handle<SkipNode>; FREE_LISTS],
     adt_id: u32,
 }
 
 impl<S: TmSys> TdsSkipList<S> {
-    /// An ordered map able to hold `capacity` live entries (inserts
-    /// allocate; removed nodes become pool garbage).
+    /// An ordered map whose pool holds `capacity` entries besides the
+    /// head and the free-list sentinels. Inserts take removed nodes back
+    /// from the key's free list before allocating, so it must cover,
+    /// summed over free lists, the most entries each list's keys hold at
+    /// once, plus one node per attempt that allocates and then aborts.
     pub fn new(sys: &S, capacity: usize) -> Self {
-        let pool = ObjPool::new(capacity + 1);
-        let head = pool.alloc(
-            sys,
-            SkipNode { key: 0, val: 0, next0: None, next1: None, next2: None, next3: None },
-        );
-        TdsSkipList { pool, head, adt_id: crate::next_adt_id() }
+        let pool = ObjPool::new(capacity + 1 + FREE_LISTS);
+        let head = pool.alloc(sys, SkipNode::unlinked(0, 0));
+        let free = std::array::from_fn(|_| pool.alloc(sys, SkipNode::unlinked(0, 0)));
+        TdsSkipList { pool, head, free, adt_id: crate::next_adt_id() }
     }
 
     /// This structure's id in published [`AdtOpDesc`]s.
@@ -103,8 +140,16 @@ impl<S: TmSys> TdsSkipList<S> {
         S::note_adt_op(tx, AdtOpDesc::new(self.adt_id, op, key));
     }
 
+    fn free_list(&self, key: u64) -> Handle<SkipNode> {
+        self.free[(crate::spread(key) >> 60) as usize % FREE_LISTS]
+    }
+
     /// Search for `key`: the predecessor handle at every level, plus the
     /// level-0 successor candidate.
+    ///
+    /// Keys must rise strictly along the search path (see
+    /// [`crate::map`]'s `find_prev`): a doomed invisible-reading attempt
+    /// that meets a recycled node aborts instead of looping.
     fn find_preds(&self, tx: &mut S::Tx<'_>, key: u64) -> Result<PredSearch, Abort> {
         let mut preds = [self.head; MAX_LEVEL];
         let mut pred_h = self.head;
@@ -112,6 +157,9 @@ impl<S: TmSys> TdsSkipList<S> {
         for level in (0..MAX_LEVEL).rev() {
             while let Some(cur_h) = pred.next(level) {
                 let cur = S::read(tx, self.pool.get(cur_h))?;
+                if pred_h != self.head && cur.key <= pred.key {
+                    return Err(Abort(AbortCause::Validation));
+                }
                 if cur.key >= key {
                     break;
                 }
@@ -142,8 +190,7 @@ impl<S: TmSys> TdsSkipList<S> {
             }
         }
         let height = height_of(key);
-        let mut node =
-            SkipNode { key, val, next0: None, next1: None, next2: None, next3: None };
+        let mut node = SkipNode::unlinked(key, val);
         // Equal pred handles form contiguous level runs (a lower-level
         // pred is never before a higher-level one), so each distinct
         // pred object is read and written exactly once.
@@ -155,7 +202,17 @@ impl<S: TmSys> TdsSkipList<S> {
             }
             node.set_next(level, pred_vals.last().unwrap().1.next(level));
         }
-        let node_h = self.pool.alloc(sys, node);
+        let list_h = self.free_list(key);
+        let list = S::read(tx, self.pool.get(list_h))?;
+        let node_h = match list.next0 {
+            Some(free_h) => {
+                let free = S::read(tx, self.pool.get(free_h))?;
+                S::write(tx, self.pool.get(list_h), &SkipNode { next0: free.next0, ..list })?;
+                S::write(tx, self.pool.get(free_h), &node)?;
+                free_h
+            }
+            None => self.pool.alloc(sys, node),
+        };
         for (ph, p) in &mut pred_vals {
             for (level, &pred_h) in preds.iter().enumerate().take(height) {
                 if pred_h == *ph {
@@ -180,7 +237,8 @@ impl<S: TmSys> TdsSkipList<S> {
         Ok(None)
     }
 
-    /// Remove `key`; returns the removed value if it was present.
+    /// Remove `key`; returns the removed value if it was present. The
+    /// node goes onto its key's free list in the same transaction.
     pub fn remove_tx(&self, tx: &mut S::Tx<'_>, key: u64) -> Result<Option<u64>, Abort> {
         self.note(tx, AdtOpKind::Remove, key);
         let (preds, cand) = self.find_preds(tx, key)?;
@@ -209,6 +267,11 @@ impl<S: TmSys> TdsSkipList<S> {
                 S::write(tx, self.pool.get(*ph), p)?;
             }
         }
+        let list_h = self.free_list(key);
+        let list = S::read(tx, self.pool.get(list_h))?;
+        let free = SkipNode { next0: list.next0, ..SkipNode::unlinked(0, 0) };
+        S::write(tx, self.pool.get(cur_h), &free)?;
+        S::write(tx, self.pool.get(list_h), &SkipNode { next0: Some(cur_h), ..list })?;
         Ok(Some(cur.val))
     }
 
@@ -289,7 +352,7 @@ mod tests {
     #[test]
     fn heights_are_deterministic_and_distributed() {
         let mut by_height = [0usize; MAX_LEVEL + 1];
-        for k in 0..4096u64 {
+        for k in 1..=4096u64 {
             let h = height_of(k);
             assert_eq!(h, height_of(k), "pure function of the key");
             assert!((1..=MAX_LEVEL).contains(&h));
@@ -299,6 +362,46 @@ mod tests {
         assert!(by_height[1] > 2500, "height histogram: {by_height:?}");
         assert!(by_height[2] > 400, "height histogram: {by_height:?}");
         assert!(by_height[3] > 50, "height histogram: {by_height:?}");
+        // ... and only a handful on the top level, which every search
+        // walks: ~4 expected with six levels, ~64 with four.
+        assert!(by_height[MAX_LEVEL] <= 16, "height histogram: {by_height:?}");
+    }
+
+    /// Over tds-mix's key set (2..=4096: every even key and about half of
+    /// the odd ones) a `get` makes 22.0 read barriers with six levels and
+    /// 44.2 with four.
+    #[cfg(feature = "stats")]
+    #[test]
+    fn a_get_reads_few_nodes_over_tds_mix_keys() {
+        let s = sys();
+        let l = TdsSkipList::new(&*s, 4096);
+        for k in 2..=4096u64 {
+            if k % 2 == 0 || crate::spread(k) & 1 == 0 {
+                l.insert(&*s, k, k);
+            }
+        }
+        s.reset_stats();
+        for k in 2..=4096u64 {
+            l.get(&*s, k);
+        }
+        let per_get = s.stats_snapshot().reads as f64 / 4095.0;
+        assert!(per_get <= 26.0, "{per_get:.1} read barriers per get");
+    }
+
+    #[test]
+    fn removed_nodes_are_reused() {
+        let s = sys();
+        let l = TdsSkipList::new(&*s, 1 << 17);
+        let sentinels = 1 + FREE_LISTS;
+        for i in 0..100_000u64 {
+            l.insert(&*s, crate::spread(i) % 64, i);
+            l.remove(&*s, crate::spread(!i) % 64);
+        }
+        assert!(
+            l.pool.len() <= 64 + sentinels + 8,
+            "{} nodes allocated for 64 keys",
+            l.pool.len() - sentinels
+        );
     }
 
     #[test]
@@ -351,10 +454,11 @@ mod tests {
         let s = sys();
         let l = TdsSkipList::new(&*s, 4096);
         // Enough keys that some towers reach MAX_LEVEL.
-        for k in 0..1000u64 {
+        assert!((0..4096u64).any(|k| height_of(k) == MAX_LEVEL));
+        for k in 0..4096u64 {
             l.insert(&*s, k, k);
         }
-        for k in 0..1000u64 {
+        for k in 0..4096u64 {
             assert_eq!(l.remove(&*s, k), Some(k));
         }
         assert!(l.snapshot().is_empty());
@@ -363,5 +467,47 @@ mod tests {
         for level in 0..MAX_LEVEL {
             assert_eq!(head.next(level), None, "level {level} dangles");
         }
+    }
+
+    #[test]
+    fn recycled_nodes_relink_cleanly() {
+        let s = sys();
+        let l = TdsSkipList::new(&*s, 4096);
+        for k in 0..4096u64 {
+            l.insert(&*s, k, k);
+        }
+        let allocated = l.pool.len();
+        for k in 0..4096u64 {
+            l.remove(&*s, k);
+        }
+        for k in (0..4096u64).rev() {
+            assert_eq!(l.insert(&*s, k, k + 1), None);
+        }
+        assert_eq!(l.pool.len(), allocated, "every insert took a recycled node");
+        let expect: Vec<_> = (0..4096u64).map(|k| (k, k + 1)).collect();
+        assert_eq!(l.snapshot(), expect);
+        for k in 0..4096u64 {
+            assert_eq!(l.get(&*s, k), Some(k + 1));
+        }
+    }
+
+    /// See the map's `a_falling_key_aborts_the_walk`.
+    #[test]
+    fn a_falling_key_aborts_the_search() {
+        let s = sys();
+        let l = TdsSkipList::new(&*s, 8);
+        for k in [10u64, 20, 30] {
+            l.insert(&*s, k, k);
+        }
+        let mut chain = vec![];
+        let mut cur = Sys::peek(l.pool.get(l.head)).next0;
+        while let Some(h) = cur {
+            chain.push(h);
+            cur = Sys::peek(l.pool.get(h)).next0;
+        }
+        let looped = SkipNode { next0: Some(chain[0]), ..Sys::peek(l.pool.get(chain[2])) };
+        s.execute(|tx| Sys::write(tx, l.pool.get(chain[2]), &looped));
+        let got = s.execute(|tx| Ok(l.get_tx(tx, 50)));
+        assert_eq!(got, Err(Abort(AbortCause::Validation)));
     }
 }
