@@ -24,7 +24,7 @@
 //! count check accounts for the hybrid explicitly.
 
 use nztm_core::{BackendKind, NzBuilder, TmSys};
-use nztm_dstm::{Dstm, GlobalLockTm, ShadowStm};
+use nztm_dstm::{GlobalLockTm, ShadowStm};
 use nztm_sim::Platform;
 use std::sync::Arc;
 
@@ -74,23 +74,21 @@ impl BackendCaps {
 /// Fig. 3/4 that are not compositions of the core engine).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReferenceKind {
-    /// DSTM2-style shallow-faithful locator STM.
-    Dstm,
-    /// Shadow-copy STM.
+    /// DSTM2's Shadow Factory: in-place data with a collocated shadow
+    /// copy (the paper's DSTM2-SF).
     Shadow,
     /// Coarse global-lock "TM".
     GlobalLock,
 }
 
 impl ReferenceKind {
-    pub const ALL: [ReferenceKind; 3] =
-        [ReferenceKind::Dstm, ReferenceKind::Shadow, ReferenceKind::GlobalLock];
+    pub const ALL: [ReferenceKind; 2] = [ReferenceKind::Shadow, ReferenceKind::GlobalLock];
 
+    /// The built system's [`TmSys::name`], as Figure 4 labels it.
     pub fn name(self) -> &'static str {
         match self {
-            ReferenceKind::Dstm => "DSTM2-SF",
-            ReferenceKind::Shadow => "shadow",
-            ReferenceKind::GlobalLock => "global-lock",
+            ReferenceKind::Shadow => "DSTM2-SF",
+            ReferenceKind::GlobalLock => "GlobalLock",
         }
     }
 }
@@ -153,9 +151,6 @@ where
 {
     for kind in ReferenceKind::ALL {
         match kind {
-            ReferenceKind::Dstm => {
-                v.visit(kind, BackendCaps::REFERENCE, |p| Dstm::with_defaults(p))
-            }
             ReferenceKind::Shadow => {
                 v.visit(kind, BackendCaps::REFERENCE, |p| ShadowStm::with_defaults(p))
             }

@@ -389,10 +389,6 @@ pub fn fig4_sim_cell(
             let s = NzBuilder::new(Arc::clone(&platform)).build_norec();
             run_workload_sim(&machine, &platform, &s, w, scale)
         }
-        "DSTM" => {
-            let s = nztm_dstm::Dstm::with_defaults(Arc::clone(&platform));
-            run_workload_sim(&machine, &platform, &s, w, scale)
-        }
         other => panic!("unknown system {other:?}"),
     }
 }
@@ -424,10 +420,6 @@ pub fn fig4_cell(sys_name: &str, w: Workload, threads: usize, scale: &WorkloadSc
         }
         "NOREC" => {
             let s = NzBuilder::new(Arc::clone(&platform)).build_norec();
-            run_workload_native(&platform, &s, w, threads, scale)
-        }
-        "DSTM" => {
-            let s = nztm_dstm::Dstm::with_defaults(Arc::clone(&platform));
             run_workload_native(&platform, &s, w, threads, scale)
         }
         other => panic!("unknown system {other:?}"),

@@ -1,12 +1,7 @@
 //! # nztm-dstm — baseline transactional memories
 //!
-//! The three comparison systems the paper's evaluation depends on:
+//! The two comparison systems the paper's evaluation depends on:
 //!
-//! * [`Dstm`] — the classic locator-based nonblocking object STM of
-//!   Herlihy, Luchangco, Moir & Scherer (PODC 2003). **Two levels of
-//!   indirection** on every data access (object → locator → data buffer):
-//!   the cost NZSTM exists to avoid. NZSTM's inflated mode is exactly
-//!   this algorithm, so this crate doubles as the reference for it.
 //! * [`ShadowStm`] — DSTM2's *Shadow Factory* (Herlihy, Luchangco, Moir —
 //!   OOPSLA 2006), the blocking zero-indirection STM of Figure 4:
 //!   data in place, but the shadow (backup) copy is allocated **in place
@@ -18,13 +13,11 @@
 //!   ("the performance that can be achieved in systems with no HTM
 //!   support, with the same level of programming complexity").
 //!
-//! All three implement [`nztm_core::TmSys`], so every workload runs
+//! Both implement [`nztm_core::TmSys`], so every workload runs
 //! unmodified on them.
 
-pub mod dstm;
 pub mod glock;
 pub mod shadow;
 
-pub use dstm::{Dstm, DstmObject};
 pub use glock::GlobalLockTm;
 pub use shadow::{ShadowObject, ShadowStm};

@@ -12,8 +12,8 @@
 //! Algorithmically this is the blocking acquire/backup/restore scheme of
 //! NZSTM's §2.2 base (per the paper, "our implementation of DSTM2-SF uses
 //! the same visible reads and contention management extensions as
-//! NZSTM"), so the measured differences against [`crate::Dstm`]-style
-//! systems and BZSTM come down to layout, exactly as in the paper.
+//! NZSTM"), so the measured differences against NZSTM and BZSTM come
+//! down to layout, exactly as in the paper.
 
 use nztm_epoch::Guard;
 use nztm_core::cm::{ContentionManager, KarmaDeadlock, Resolution};

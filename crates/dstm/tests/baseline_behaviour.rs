@@ -1,109 +1,12 @@
-//! Behavioural tests for the baseline TMs: DSTM's locator semantics,
-//! DSTM2-SF's blocking + shadow semantics, and the global lock's
-//! serialization — the properties Figures 3/4 implicitly rely on.
+//! Behavioural tests for the baseline TMs: DSTM2-SF's blocking + shadow
+//! semantics and the global lock's serialization — the properties
+//! Figure 4 implicitly relies on.
 
 use nztm_core::txn::{Abort, AbortCause};
 use nztm_core::TmSys;
-use nztm_dstm::{Dstm, GlobalLockTm, ShadowStm};
-use nztm_sim::{DetRng, Native};
-use std::sync::atomic::{AtomicBool, Ordering};
+use nztm_dstm::{GlobalLockTm, ShadowStm};
+use nztm_sim::Native;
 use std::sync::Arc;
-use std::time::Duration;
-
-#[test]
-fn dstm_concurrent_bank_conserves() {
-    let p = Native::new(4);
-    let s = Dstm::with_defaults(Arc::clone(&p));
-    let accounts: Arc<Vec<_>> = Arc::new((0..8).map(|_| s.alloc(100u64)).collect());
-    std::thread::scope(|scope| {
-        for tid in 0..4usize {
-            let p = Arc::clone(&p);
-            let s = Arc::clone(&s);
-            let accounts = Arc::clone(&accounts);
-            scope.spawn(move || {
-                p.register_thread_as(tid);
-                let mut rng = DetRng::new(tid as u64 + 9);
-                for _ in 0..1_500 {
-                    let a = rng.next_below(8) as usize;
-                    let b = rng.next_below(8) as usize;
-                    if a == b {
-                        continue;
-                    }
-                    s.run(|tx| {
-                        let va = tx.read(&accounts[a])?;
-                        let vb = tx.read(&accounts[b])?;
-                        if va > 0 {
-                            tx.write(&accounts[a], &(va - 1))?;
-                            tx.write(&accounts[b], &(vb + 1))?;
-                        }
-                        Ok(())
-                    });
-                }
-            });
-        }
-    });
-    let total: u64 = accounts.iter().map(|a| a.read_untracked()).sum();
-    assert_eq!(total, 800);
-}
-
-/// DSTM is nonblocking: a transaction stalled mid-flight cannot stop a
-/// peer — the peer aborts it (no acknowledgement needed, since locator
-/// writes are private) and proceeds.
-#[test]
-fn dstm_progresses_past_stalled_owner() {
-    let p = Native::new(2);
-    let s = Dstm::with_defaults(Arc::clone(&p));
-    let obj = s.alloc(1u64);
-    let stalled = Arc::new(AtomicBool::new(false));
-    let release = Arc::new(AtomicBool::new(false));
-
-    std::thread::scope(|scope| {
-        {
-            let (p, s, obj) = (Arc::clone(&p), Arc::clone(&s), Arc::clone(&obj));
-            let (st, rel) = (Arc::clone(&stalled), Arc::clone(&release));
-            scope.spawn(move || {
-                p.register_thread_as(0);
-                let mut first = true;
-                s.run(|tx| {
-                    tx.write(&obj, &99)?;
-                    if first {
-                        first = false;
-                        st.store(true, Ordering::SeqCst);
-                        while !rel.load(Ordering::SeqCst) {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                    }
-                    Ok(())
-                });
-            });
-        }
-        {
-            let (p, s, obj) = (Arc::clone(&p), Arc::clone(&s), Arc::clone(&obj));
-            let (st, rel) = (Arc::clone(&stalled), Arc::clone(&release));
-            scope.spawn(move || {
-                p.register_thread_as(1);
-                while !st.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
-                // Must finish while the owner is still stalled.
-                let start = std::time::Instant::now();
-                for _ in 0..25 {
-                    s.run(|tx| {
-                        let v = tx.read(&obj)?;
-                        tx.write(&obj, &(v + 1))
-                    });
-                }
-                assert!(
-                    start.elapsed() < Duration::from_secs(5),
-                    "DSTM peer must not block on the stalled owner"
-                );
-                rel.store(true, Ordering::SeqCst);
-            });
-        }
-    });
-    let st = s.stats_snapshot();
-    assert!(st.abort_requests_sent > 0, "{st:?}");
-}
 
 #[test]
 fn shadow_read_sees_pre_abort_value() {
@@ -180,42 +83,4 @@ fn global_lock_has_no_aborts_ever() {
     let st = s.stats_snapshot();
     assert_eq!(st.aborts(), 0);
     assert_eq!(st.commits, 10_000);
-}
-
-/// The indirection count is visible in the type structure: a DSTM read
-/// must traverse object → locator → buffer even when uncontended, while
-/// DSTM2-SF/NZSTM-style objects read in place. This test pins the
-/// *semantic* part: repeated writes to a DSTM object produce fresh
-/// locator generations, and stale reads are revalidated.
-#[test]
-fn dstm_locator_replacement_is_linearizable() {
-    let p = Native::new(2);
-    let s = Dstm::with_defaults(Arc::clone(&p));
-    let obj = s.alloc(0u64);
-    let pairs = Arc::new(nztm_sim::sync::Mutex::new(Vec::new()));
-    std::thread::scope(|scope| {
-        {
-            let (p, s, obj) = (Arc::clone(&p), Arc::clone(&s), Arc::clone(&obj));
-            scope.spawn(move || {
-                p.register_thread_as(0);
-                for i in 1..=2_000u64 {
-                    s.run(|tx| tx.write(&obj, &i));
-                }
-            });
-        }
-        {
-            let (p, s, obj) = (Arc::clone(&p), Arc::clone(&s), Arc::clone(&obj));
-            let pairs = Arc::clone(&pairs);
-            scope.spawn(move || {
-                p.register_thread_as(1);
-                let mut last = 0;
-                for _ in 0..2_000 {
-                    let v = s.run(|tx| tx.read(&obj));
-                    assert!(v >= last, "monotone writer ⇒ monotone reads: {v} < {last}");
-                    last = v;
-                }
-                pairs.lock().push(last);
-            });
-        }
-    });
 }

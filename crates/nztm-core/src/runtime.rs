@@ -4,8 +4,8 @@
 //! that possible here, all workloads are written against [`TmSys`] — an
 //! object-granular transactional interface in the style of DSTM's
 //! programming model (which the paper's C model derives from) — and every
-//! engine in this workspace (BZSTM, NZSTM, SCSS, DSTM, DSTM2-SF, the
-//! global lock, and the hybrid) implements it.
+//! engine in this workspace (BZSTM, NZSTM, SCSS, NOrec, DSTM2-SF, the
+//! global lock, LogTM-SE, and the hybrid) implements it.
 //!
 //! [`ObjPool`] and [`Handle`] provide the standard object-based-STM idiom
 //! for linked data structures: objects live in a pool owned by the data

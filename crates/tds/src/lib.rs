@@ -10,9 +10,8 @@
 //! one atomic transaction.
 //!
 //! Three structures, all generic over [`nztm_core::TmSys`] (so they run
-//! on NZSTM,
-//! BZSTM, SCSS, DSTM, DSTM2-SF, the global lock, and the NZTM hybrid,
-//! on either platform):
+//! on NZSTM, BZSTM, SCSS, NOrec, DSTM2-SF, the global lock, and the NZTM
+//! hybrid, on either platform):
 //!
 //! * [`TdsHashMap`] — a bucketized chained hash map from `u64` keys to
 //!   `u64` values.

@@ -16,7 +16,7 @@
 //!   low/high-contention parameter split of Minh et al. (ISCA 2007).
 //!
 //! Everything is generic over [`nztm_core::TmSys`], so one workload source
-//! runs on NZSTM, BZSTM, SCSS, DSTM, DSTM2-SF, the global lock, and the
+//! runs on NZSTM, BZSTM, SCSS, NOrec, DSTM2-SF, the global lock, and the
 //! NZTM hybrid, on either the native or the simulated platform.
 
 pub mod driver;

@@ -3,9 +3,8 @@
 //! invariants under random seeds.
 
 use nztm_core::{NzBuilder, Nzstm, TmSys};
-use nztm_dstm::{Dstm, ShadowStm};
+use nztm_dstm::ShadowStm;
 use nztm_sim::{DetRng, Native};
-use nztm_workloads::hashtable::HashTableSet;
 use nztm_workloads::linkedlist::LinkedListSet;
 use nztm_workloads::redblack::RedBlackSet;
 use nztm_workloads::set::{check_against_reference, Contention, TmSet};
@@ -44,20 +43,6 @@ fn linkedlist_random_streams() {
         let t = LinkedListSet::new(&*s, 2_048);
         let c = if high { Contention::High } else { Contention::Low };
         check_against_reference(&t, &*s, seed, 500, c);
-    }
-}
-
-/// Hash table over the DSTM baseline (locator indirection).
-#[test]
-fn hashtable_on_dstm_random_streams() {
-    let mut meta = DetRng::new(0x3E7_0003);
-    for _ in 0..16 {
-        let seed = meta.next_u64();
-        let p = Native::new(1);
-        p.register_thread_as(0);
-        let s = Dstm::with_defaults(p);
-        let t = HashTableSet::new(&*s, 2_048);
-        check_against_reference(&t, &*s, seed, 500, Contention::Low);
     }
 }
 

@@ -215,12 +215,13 @@ fn conformance_every_registered_reference_backend() {
         visited: usize,
     }
     impl ReferenceVisitor<Native> for V {
-        fn visit<S, F>(&mut self, _kind: ReferenceKind, caps: BackendCaps, build: F)
+        fn visit<S, F>(&mut self, kind: ReferenceKind, caps: BackendCaps, build: F)
         where
             S: TmSys,
             F: FnOnce(Arc<Native>) -> Arc<S>,
         {
             let sys = build(native1());
+            assert_eq!(kind.name(), sys.name(), "registry label vs built system");
             battery(&*sys, caps);
             tds_battery(&*sys, caps.counts_adt_ops);
             self.visited += 1;

@@ -181,7 +181,7 @@ fn concurrent_disjoint_streams_agree_across_backends() {
     let mut v = V(Vec::new());
     registry::for_each_software_backend(&mut v);
     let p = Native::new(4);
-    v.0.push(("shadow", run(ShadowStm::with_defaults(Arc::clone(&p)), p)));
+    v.0.push(("DSTM2-SF", run(ShadowStm::with_defaults(Arc::clone(&p)), p)));
     let (base_name, base) = &v.0[0];
     for (name, got) in &v.0[1..] {
         assert_eq!(got, base, "{base_name} vs {name}");

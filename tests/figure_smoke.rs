@@ -2,7 +2,7 @@
 //! and Figure 4 cells, asserting the *qualitative* relationships the
 //! paper reports. Keeps the harness honest between full runs.
 
-use nztm_bench::suite::{fig3_cell, fig4_cell, SimSystem, Workload, WorkloadScale};
+use nztm_bench::suite::{fig3_cell, fig4_cell, fig4_systems, SimSystem, Workload, WorkloadScale};
 
 fn tiny() -> WorkloadScale {
     WorkloadScale {
@@ -75,18 +75,9 @@ fn fig3_runs_every_workload_cell_once() {
 fn fig4_runs_every_workload_cell_once() {
     let scale = tiny();
     for &w in nztm_bench::suite::ALL_WORKLOADS {
-        for sys in ["GlobalLock", "DSTM2-SF", "BZSTM", "SCSS", "NZSTM"] {
+        for sys in std::iter::once("GlobalLock").chain(fig4_systems()) {
             let r = fig4_cell(sys, w, 2, &scale);
             assert!(r.stats.commits > 0, "{sys}/{} committed nothing", w.name());
         }
     }
-}
-
-#[test]
-fn fig4_dstm_baseline_also_runs() {
-    // The classic DSTM (2-level indirection) is wired into the harness
-    // for ablations even though Figure 4 doesn't plot it.
-    let scale = tiny();
-    let r = fig4_cell("DSTM", Workload::RedblackLow, 2, &scale);
-    assert!(r.stats.commits > 0);
 }
