@@ -305,13 +305,13 @@ mod tests {
     #[test]
     fn cm_field_round_trips_and_defaults_to_karma() {
         let art = Artifact {
-            cfg: CheckConfig { cm: CmKind::Adaptive, ..CheckConfig::transfer(Backend::Nzstm) },
+            cfg: CheckConfig { cm: CmKind::Greedy, ..CheckConfig::transfer(Backend::Nzstm) },
             kind: "conservation".into(),
             detail: "d".into(),
             choices: vec![],
         };
         let back = from_text(&to_text(&art)).unwrap();
-        assert_eq!(back.cfg.cm, CmKind::Adaptive);
+        assert_eq!(back.cfg.cm, CmKind::Greedy);
         // Artifacts from before policy selection carry no cm= line and
         // must replay under the Karma default they were found with.
         let text = to_text(&art)
@@ -320,7 +320,7 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n");
         assert_eq!(from_text(&text).unwrap().cfg.cm, CmKind::Karma);
-        assert!(from_text(&to_text(&art).replace("cm=adaptive", "cm=bogus")).is_err());
+        assert!(from_text(&to_text(&art).replace("cm=greedy", "cm=bogus")).is_err());
     }
 
     #[test]

@@ -6,10 +6,7 @@
 //! histories and statistics — across processes, which is what makes
 //! failure artifacts replayable by `check_replay`.
 
-use nztm_core::cm::{
-    Adaptive, AdaptiveConfig, Aggressive, ContentionManager, Greedy, KarmaDeadlock, Polite,
-    Timestamp,
-};
+use nztm_core::cm::{Aggressive, ContentionManager, Greedy, KarmaDeadlock, Polite, Timestamp};
 use nztm_core::{
     Blocking, ModePolicy, Nonblocking, NorecMode, NzConfig, NzStm, ScssMode, TmStats, TmSys,
 };
@@ -66,18 +63,15 @@ pub enum CmKind {
     Timestamp,
     /// Greedy (PODC 2005): elder wins, younger yields to stalled elders.
     Greedy,
-    /// Telemetry-driven adaptive wrapper over Karma (PR 6 tentpole).
-    Adaptive,
 }
 
 /// Every policy the harness can drive, in presentation order.
-pub const CM_KINDS: [CmKind; 6] = [
+pub const CM_KINDS: [CmKind; 5] = [
     CmKind::Karma,
     CmKind::Aggressive,
     CmKind::Polite,
     CmKind::Timestamp,
     CmKind::Greedy,
-    CmKind::Adaptive,
 ];
 
 impl CmKind {
@@ -88,7 +82,6 @@ impl CmKind {
             CmKind::Polite => "polite",
             CmKind::Timestamp => "timestamp",
             CmKind::Greedy => "greedy",
-            CmKind::Adaptive => "adaptive",
         }
     }
 
@@ -96,10 +89,9 @@ impl CmKind {
         CM_KINDS.iter().copied().find(|k| k.name() == s)
     }
 
-    /// Construct the policy with its default parameters. Determinism
-    /// note: every policy here is either stateless or (Adaptive) seeds
-    /// all state from the run's own event stream, so same config + same
-    /// schedule still reproduces the same decisions.
+    /// Construct the policy with its default parameters. Every policy
+    /// here is stateless, so same config + same schedule reproduces the
+    /// same decisions.
     pub fn build(self) -> Arc<dyn ContentionManager> {
         match self {
             CmKind::Karma => Arc::new(KarmaDeadlock::default()),
@@ -107,7 +99,6 @@ impl CmKind {
             CmKind::Polite => Arc::new(Polite::default()),
             CmKind::Timestamp => Arc::new(Timestamp),
             CmKind::Greedy => Arc::new(Greedy),
-            CmKind::Adaptive => Arc::new(Adaptive::new(AdaptiveConfig::default())),
         }
     }
 }

@@ -126,13 +126,6 @@ impl<P: Platform> NzBuilder<P> {
         self
     }
 
-    /// Use the telemetry-driven adaptive contention manager
-    /// ([`crate::cm::Adaptive`]) with `cfg`'s thresholds. Shorthand for
-    /// `.cm(Arc::new(Adaptive::new(cfg)))`.
-    pub fn adaptive_cm(self, cfg: crate::cm::AdaptiveConfig) -> Self {
-        self.cm(Arc::new(crate::cm::Adaptive::new(cfg)))
-    }
-
     /// Native-HTM policy for a hybrid assembled over the built engine
     /// (`nztm-htm` consults it when selecting between the simulated
     /// ATMTP model and the arch-native RTM backend; the software engine

@@ -14,20 +14,23 @@
 //! > aborts TL."
 //!
 //! [`KarmaDeadlock`] implements exactly that policy and is the default
-//! everywhere. [`Polite`], [`Aggressive`], and [`Timestamp`] are classic
-//! alternatives (Scherer & Scott) shipped for the ablation benches.
+//! everywhere; every benchmark runs it. [`Aggressive`], [`Polite`],
+//! [`Timestamp`] and [`Greedy`] are classic alternatives (Scherer & Scott;
+//! Guerraoui, Herlihy & Pochon) kept as test tools: `nztm-check` runs its
+//! schedule batteries under each of them (`CM_KINDS`), and the sanitizer
+//! and engine-edge tests use them to force abort requests, self-aborts
+//! and steals that Karma makes rare.
 //!
 //! A contention manager decides *policy only* — whether to keep waiting,
 //! request the peer's abort, or abort self. The *mechanism* (the
-//! AbortNowPlease handshake, patience, inflation) lives in the engine.
+//! AbortNowPlease handshake, patience, inflation, retry backoff) lives in
+//! the engine, so no policy can turn a nonblocking mode blocking.
 
-mod adaptive;
 mod karma;
 
-pub use adaptive::{Adaptive, AdaptiveConfig};
 pub use karma::KarmaDeadlock;
 
-use crate::txn::{AbortCause, TxnDesc};
+use crate::txn::TxnDesc;
 
 /// What to do about a conflict with `other`, asked repeatedly while the
 /// conflict persists (with `waited` incrementing each consultation).
@@ -41,56 +44,8 @@ pub enum Resolution {
     AbortSelf,
 }
 
-/// Per-object contention-handling mode, reported by adaptive policies
-/// through [`ModeChange`] and recorded as `EventKind::CmMode` trace
-/// events so adaptation itself is observable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CmMode {
-    /// Default handling (the wrapped policy decides everything).
-    Normal,
-    /// Queued-ownership / serialization mode for a hot object: abort
-    /// requests are suppressed below a raised timeout so the storm
-    /// drains through the current owner instead of thrashing.
-    Escalated,
-}
-
-impl CmMode {
-    /// Stable numeric code, used in flight-recorder event records.
-    pub fn code(self) -> u64 {
-        match self {
-            CmMode::Normal => 0,
-            CmMode::Escalated => 1,
-        }
-    }
-
-    /// Inverse of [`CmMode::code`]; `None` for unknown codes.
-    pub fn from_code(code: u64) -> Option<CmMode> {
-        Some(match code {
-            0 => CmMode::Normal,
-            1 => CmMode::Escalated,
-            _ => return None,
-        })
-    }
-}
-
-/// A per-object mode transition decided by the contention manager,
-/// surfaced to the engine so it can count and trace the switch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ModeChange {
-    /// Header address of the object whose mode changed.
-    pub obj_addr: u64,
-    /// The mode the object switched *to*.
-    pub to: CmMode,
-}
-
-/// Contention-manager policy interface.
-///
-/// The required [`ContentionManager::resolve`] is the classic Scherer &
-/// Scott decision point; the provided methods are telemetry and tuning
-/// hooks that static policies ignore (their defaults are no-ops) and
-/// adaptive policies override. All hooks are *policy only*: the engine
-/// keeps every mechanism bound (patience, inflation, the backoff cap
-/// clamp), so no policy can turn a nonblocking mode blocking.
+/// Contention-manager policy interface: the classic Scherer & Scott
+/// decision point, consulted by the engine's conflict loop.
 pub trait ContentionManager: Send + Sync + 'static {
     /// Resolve a conflict between `me` (the transaction detecting the
     /// conflict) and `other` (the current owner/reader).
@@ -108,58 +63,10 @@ pub trait ContentionManager: Send + Sync + 'static {
 
     /// Name, for reports.
     fn name(&self) -> &'static str;
-
-    /// Like [`ContentionManager::resolve`], with the conflicted object's
-    /// header address. The engine always calls this form; the default
-    /// ignores the address, so object-agnostic policies only implement
-    /// `resolve`.
-    fn resolve_at(&self, me: &TxnDesc, other: &TxnDesc, obj_addr: u64, waited: u64) -> Resolution {
-        let _ = obj_addr;
-        self.resolve(me, other, waited)
-    }
-
-    /// Telemetry: an attempt on `thread` aborted with `cause`;
-    /// `obj_addr` is the header address of the object whose conflict the
-    /// attempt last fought over (0 when no conflict was recorded, e.g. a
-    /// pure validation abort). Returns a mode transition for the engine
-    /// to count and trace, if this event triggered one.
-    fn on_abort(&self, thread: u32, cause: AbortCause, obj_addr: u64) -> Option<ModeChange> {
-        let _ = (thread, cause, obj_addr);
-        None
-    }
-
-    /// Telemetry: an attempt on `thread` committed. Returns a mode
-    /// transition (typically a de-escalation as heat decays), if any.
-    fn on_commit(&self, thread: u32) -> Option<ModeChange> {
-        let _ = thread;
-        None
-    }
-
-    /// Recommended retry-backoff cap exponent for `thread`, consulted by
-    /// the engine before each between-attempts backoff draw. `None`
-    /// keeps the engine's static default ([`crate::util::Backoff::CAP_EXP`]);
-    /// returned values are clamped by the mechanism to
-    /// [`crate::util::Backoff::MAX_CAP_EXP`].
-    fn backoff_cap(&self, thread: u32) -> Option<u32> {
-        let _ = thread;
-        None
-    }
-
-    /// Consulted when the patience budget for an unresponsive in-place
-    /// owner of `obj_addr` expires: extra acknowledgement-wait steps to
-    /// grant before inflating, given `granted` steps already extended on
-    /// this conflict. Returning 0 (the default) inflates immediately —
-    /// the paper's §2.3.1 behavior. Implementations **must** converge to
-    /// 0 as `granted` grows, so inflation is delayed by a bounded amount
-    /// and obstruction freedom is preserved.
-    fn extra_patience(&self, obj_addr: u64, granted: u64) -> u64 {
-        let _ = (obj_addr, granted);
-        0
-    }
 }
 
 /// Always request the peer's abort immediately ("requester wins" in
-/// software — the policy ATMTP hardware uses, shipped here for ablation).
+/// software — the policy ATMTP hardware uses).
 #[derive(Debug, Default)]
 pub struct Aggressive;
 
@@ -220,6 +127,36 @@ impl ContentionManager for Timestamp {
     }
 }
 
+/// Greedy (Guerraoui, Herlihy & Pochon, PODC 2005): the transaction with
+/// the earlier start wins outright — on conflict, the younger one either
+/// aborts itself (if the elder demands the object) or aborts the elder's
+/// victim. Here rendered in the request/acknowledge idiom: the elder
+/// requests the younger's abort; the younger waits for the elder unless
+/// the elder is itself waiting (then it aborts itself — Greedy's
+/// "if the enemy is older and suspended, kill yourself" rule).
+#[derive(Debug, Default)]
+pub struct Greedy;
+
+impl ContentionManager for Greedy {
+    fn resolve(&self, me: &TxnDesc, other: &TxnDesc, _waited: u64) -> Resolution {
+        let mine = (me.serial, me.thread);
+        let theirs = (other.serial, other.thread);
+        if mine < theirs {
+            // I am older: the younger transaction must go.
+            Resolution::RequestAbort
+        } else if other.is_waiting() {
+            // Younger vs an older-but-stalled enemy: step aside.
+            Resolution::AbortSelf
+        } else {
+            Resolution::Wait
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "greedy"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,47 +201,12 @@ mod tests {
         assert_eq!(cm.resolve(&a, &b, 0), Resolution::RequestAbort);
         assert_eq!(cm.resolve(&b, &a, 0), Resolution::AbortSelf);
     }
-}
-
-/// Greedy (Guerraoui, Herlihy & Pochon, PODC 2005): the transaction with
-/// the earlier start wins outright — on conflict, the younger one either
-/// aborts itself (if the elder demands the object) or aborts the elder's
-/// victim. Here rendered in the request/acknowledge idiom: the elder
-/// requests the younger's abort; the younger waits for the elder unless
-/// the elder is itself waiting (then it aborts itself — Greedy's
-/// "if the enemy is older and suspended, kill yourself" rule).
-#[derive(Debug, Default)]
-pub struct Greedy;
-
-impl ContentionManager for Greedy {
-    fn resolve(&self, me: &TxnDesc, other: &TxnDesc, _waited: u64) -> Resolution {
-        let mine = (me.serial, me.thread);
-        let theirs = (other.serial, other.thread);
-        if mine < theirs {
-            // I am older: the younger transaction must go.
-            Resolution::RequestAbort
-        } else if other.is_waiting() {
-            // Younger vs an older-but-stalled enemy: step aside.
-            Resolution::AbortSelf
-        } else {
-            Resolution::Wait
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-}
-
-#[cfg(test)]
-mod greedy_tests {
-    use super::*;
 
     #[test]
-    fn older_requests_younger_aborts_or_waits() {
+    fn greedy_older_requests_younger_aborts_or_waits() {
         let cm = Greedy;
-        let old = TxnDesc::new(0, 1);
-        let young = TxnDesc::new(1, 9);
+        let old = desc(0, 1);
+        let young = desc(1, 9);
         assert_eq!(cm.resolve(&old, &young, 0), Resolution::RequestAbort);
         assert_eq!(cm.resolve(&young, &old, 0), Resolution::Wait);
         old.set_waiting(true);

@@ -358,10 +358,6 @@ struct ThreadCtx {
     pool: BackupPool,
     rng: DetRng,
     backoff: Backoff,
-    /// Header address of the object this attempt last fought a conflict
-    /// over (0 = none). Feeds the contention manager's per-object abort
-    /// attribution ([`crate::cm::ContentionManager::on_abort`]).
-    conflict_obj: u64,
     /// This thread's live counters. The `Arc` is shared with the
     /// engine-level [`NzStm::thread_stats`] list so any thread can
     /// snapshot mid-run; only this thread writes (single-writer cells).
@@ -400,7 +396,6 @@ impl ThreadCtx {
             pool: BackupPool::default(),
             rng: DetRng::new(0x5EED_0000 + tid as u64),
             backoff: Backoff::new(),
-            conflict_obj: 0,
             stats,
             scratch: Vec::with_capacity(64),
             snapshot: 0,
@@ -709,13 +704,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             drop(attempt_pin);
             had_abort = true;
             // Randomized exponential backoff between attempts breaks the
-            // symmetric-retry livelock obstruction-freedom permits. An
-            // adaptive CM may move the window cap with the observed
-            // conflict rate; `set_cap` clamps to `Backoff::MAX_CAP_EXP`,
-            // so policy can never unbound the stall.
-            if let Some(cap) = self.cm.backoff_cap(tid as u32) {
-                ctx.backoff.set_cap(cap);
-            }
+            // symmetric-retry livelock obstruction-freedom permits.
             let steps = ctx.backoff.steps(ctx.rng.next_u64());
             for _ in 0..steps {
                 self.platform.spin_wait();
@@ -741,7 +730,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         ctx.write_set.clear();
         ctx.read_index.clear();
         ctx.write_index.clear();
-        ctx.conflict_obj = 0;
         if M::NOREC {
             ctx.norec_vals.clear();
             ctx.norec_redo.clear();
@@ -802,7 +790,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                     OwnerRef::Inflated(l, _) => still_valid(l.owner()),
                 };
                 if !ok {
-                    ctx.conflict_obj = h.addr() as u64;
                     valid = false;
                     break;
                 }
@@ -823,8 +810,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             self.cleanup_after_commit(ctx, tid);
             ctx.stats.commits.bump();
             trace_evt!(self, ctx, tid, TxnCommit, ctx.serial, 0);
-            let change = self.cm.on_commit(tid as u32);
-            self.note_mode_change(ctx, tid, change);
             true
         } else {
             // AbortNowPlease arrived before the commit CAS.
@@ -876,24 +861,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             AbortCause::ValueValidation => ctx.stats.aborts_value_validation.bump(),
         }
         trace_evt!(self, ctx, tid, TxnAbort, ctx.serial, cause.code());
-        let change = self.cm.on_abort(tid as u32, cause, ctx.conflict_obj);
-        self.note_mode_change(ctx, tid, change);
-    }
-
-    /// Count and trace a contention-manager mode transition
-    /// ([`crate::cm::ModeChange`]) so adaptation itself is observable.
-    fn note_mode_change(
-        &self,
-        ctx: &mut ThreadCtx,
-        tid: usize,
-        change: Option<crate::cm::ModeChange>,
-    ) {
-        let Some(c) = change else { return };
-        match c.to {
-            crate::cm::CmMode::Escalated => ctx.stats.cm_escalations.bump(),
-            crate::cm::CmMode::Normal => ctx.stats.cm_deescalations.bump(),
-        }
-        trace_evt!(self, ctx, tid, CmMode, c.obj_addr, c.to.code());
     }
 
     fn clear_reader_bits(&self, ctx: &mut ThreadCtx, tid: usize) {
@@ -940,9 +907,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     ) -> Result<ConflictOutcome, Abort> {
         let tid = Self::me(ctx).thread;
         hot_stat!(ctx, conflicts);
-        // Attribute a later abort of *this* attempt to this object (the
-        // contention manager's per-object heat input).
-        ctx.conflict_obj = h.addr() as u64;
         trace_evt!(
             self,
             ctx,
@@ -976,7 +940,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             // runs between consecutive calls (the `Wait` arm below), so
             // the `waited` count the policy sees equals spin steps — the
             // unit its budgets are documented in.
-            match self.cm.resolve_at(Self::me(ctx), other, h.addr() as u64, waited) {
+            match self.cm.resolve(Self::me(ctx), other, waited) {
                 Resolution::Wait => {
                     #[cfg(feature = "trace")]
                     if !traced_wait {
@@ -1032,15 +996,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                     // Wait for the acknowledgement (Status = Aborted).
                     self.san_point(ctx, tid as usize, crate::sanitizer::Point::AwaitAck);
                     let mut acked_wait = 0u64;
-                    // Inflate-vs-wait (adaptive CM lever 3): each time
-                    // the budget expires, the policy may grant extra
-                    // acknowledgement-wait steps before we inflate.
-                    // `granted` accumulates across grants, and policies
-                    // contract to converge to 0 as it grows, so the
-                    // total delay before inflation stays bounded and
-                    // obstruction freedom is preserved.
-                    let mut patience_budget = self.cfg.patience;
-                    let mut granted = 0u64;
                     loop {
                         self.platform.mem(other.addr(), 8, AccessKind::Read);
                         #[cfg(feature = "sanitize")]
@@ -1052,7 +1007,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                             return Ok(ConflictOutcome::Settled);
                         }
                         self.validate(ctx)?;
-                        if M::NONBLOCKING && acked_wait >= patience_budget {
+                        if M::NONBLOCKING && acked_wait >= self.cfg.patience {
                             if M::SCSS {
                                 // One-shot barrier: after this, any
                                 // in-flight SCSS store by the victim has
@@ -1061,12 +1016,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                                 other.with_scss_lock(|| {});
                                 return Ok(ConflictOutcome::Settled);
                             }
-                            let extra = self.cm.extra_patience(h.addr() as u64, granted);
-                            if extra == 0 {
-                                return Ok(ConflictOutcome::Unresponsive);
-                            }
-                            granted += extra;
-                            patience_budget += extra;
+                            return Ok(ConflictOutcome::Unresponsive);
                         }
                         self.platform.spin_wait();
                         hot_stat!(ctx, wait_steps);
@@ -1171,7 +1121,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             // settled-owner arm below checks again.
             if let Some(v) = read_version {
                 if h.version() != v {
-                    ctx.conflict_obj = h.addr() as u64;
                     return Err(Abort(AbortCause::Validation));
                 }
             }
@@ -1227,7 +1176,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                             // could both install (lost update).
                             if let Some(v) = read_version {
                                 if h.version() != v {
-                                    ctx.conflict_obj = h.addr() as u64;
                                     return Err(Abort(AbortCause::Validation));
                                 }
                             }
@@ -1930,7 +1878,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                         .zip(logged)
                         .all(|(w, v)| w.load(std::sync::atomic::Ordering::Relaxed) == *v);
                 if !intact {
-                    ctx.conflict_obj = r.obj.header().addr() as u64;
                     hot_stat!(ctx, conflicts);
                     return Err(Abort(AbortCause::ValueValidation));
                 }
@@ -2102,8 +2049,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         self.clear_reader_bits(ctx, tid);
         ctx.stats.commits.bump();
         trace_evt!(self, ctx, tid, TxnCommit, ctx.serial, 0);
-        let change = self.cm.on_commit(tid as u32);
-        self.note_mode_change(ctx, tid, change);
         true
     }
 }
@@ -2311,32 +2256,5 @@ mod tests {
             assert_eq!(st.aborts_value_validation, expect(AbortCause::ValueValidation));
         }
         assert_eq!(s.stats_snapshot().commits, AbortCause::ALL.len() as u64);
-    }
-
-    /// The engine delivers commit/abort telemetry to the contention
-    /// manager: an adaptive policy's per-thread conflict EWMA rises
-    /// under an abort streak and drains back under pure commits.
-    #[test]
-    fn engine_feeds_adaptive_telemetry_hooks() {
-        let p = nztm_sim::Native::new(1);
-        p.register_thread_as(0);
-        let cm = Arc::new(crate::cm::Adaptive::default());
-        let s = crate::builder::NzBuilder::new(p).cm(cm.clone()).build_nzstm();
-        assert_eq!(cm.conflict_ewma(0), 0);
-        for _ in 0..32 {
-            let mut pending = true;
-            s.run(|tx| if std::mem::take(&mut pending) { Err(tx.abort()) } else { Ok(()) });
-        }
-        let stormy = cm.conflict_ewma(0);
-        assert!(stormy > 0, "aborts must raise the conflict EWMA");
-        for _ in 0..256 {
-            s.run(|_tx| Ok(()));
-        }
-        assert!(
-            cm.conflict_ewma(0) < stormy.max(1),
-            "a commit run must drain the EWMA ({} -> {})",
-            stormy,
-            cm.conflict_ewma(0)
-        );
     }
 }

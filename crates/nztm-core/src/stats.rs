@@ -90,11 +90,10 @@ pub struct TmStats {
     pub htm_other_aborts: u64,
     /// Transactions that fell back to the software path.
     pub fallbacks: u64,
-    /// Objects escalated into the adaptive contention manager's
-    /// serialization mode (see `cm::Adaptive`).
+    /// Always 0: no contention manager escalates objects any more. Kept
+    /// only because the repo benchmark's per-layer report still reads
+    /// it; it goes with that report's `cm.escalations` row.
     pub cm_escalations: u64,
-    /// Objects de-escalated back to normal contention handling.
-    pub cm_deescalations: u64,
     /// Logical transactions that experienced ≥1 abort before committing
     /// — the paper's "X% of transactions abort" metric (per-transaction,
     /// not per-attempt).
@@ -187,8 +186,6 @@ impl TmStats {
             htm_explicit_aborts,
             htm_other_aborts,
             fallbacks,
-            cm_escalations,
-            cm_deescalations,
             txns_with_aborts,
             adt_ops,
         );
@@ -263,8 +260,6 @@ macro_rules! for_each_stat {
             htm_explicit_aborts,
             htm_other_aborts,
             fallbacks,
-            cm_escalations,
-            cm_deescalations,
             txns_with_aborts,
             adt_ops,
         );
@@ -306,8 +301,6 @@ pub struct ThreadStats {
     pub htm_explicit_aborts: Counter,
     pub htm_other_aborts: Counter,
     pub fallbacks: Counter,
-    pub cm_escalations: Counter,
-    pub cm_deescalations: Counter,
     pub txns_with_aborts: Counter,
     pub adt_ops: Counter,
 }

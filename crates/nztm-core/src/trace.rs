@@ -83,10 +83,6 @@ pub enum EventKind {
     /// object address (`NZHeader::addr`). Only emitted past 64 threads
     /// (flat indicators keep readers on the header line and never scan).
     ReaderScan = 14,
-    /// The contention manager switched an object's handling mode
-    /// (adaptive policies only; see [`crate::cm::CmMode`]). `a` = object
-    /// address, `b` = the [`crate::cm::CmMode::code`] switched *to*.
-    CmMode = 15,
     /// An ADT-level operation descriptor published by a transactional
     /// data structure (see [`crate::adt::AdtOpDesc`] and
     /// [`crate::TmSys::note_adt_op`]). `a` = the operation key,
@@ -120,7 +116,6 @@ impl EventKind {
             EventKind::HtmFallback => "htm_fallback",
             EventKind::SchedSwitch => "sched_switch",
             EventKind::ReaderScan => "reader_scan",
-            EventKind::CmMode => "cm_mode",
             EventKind::AdtOp => "adt_op",
             EventKind::NorecValidate => "norec_validate",
             EventKind::NorecExtend => "norec_extend",
@@ -220,14 +215,6 @@ impl TraceEvent {
             EventKind::SchedSwitch => format!("scheduler runs core {}", self.a),
             EventKind::ReaderScan => {
                 format!("scans reader stripe @{:#x} of {}", self.a, obj_name(self.b))
-            }
-            EventKind::CmMode => {
-                let mode = match self.b {
-                    0 => "normal",
-                    1 => "escalated",
-                    _ => "unknown",
-                };
-                format!("cm switches {} to {mode}", obj_name(self.a))
             }
             EventKind::AdtOp => {
                 let (adt, op) = crate::adt::AdtOpDesc::unpack(self.b);

@@ -98,24 +98,16 @@ impl<T> PerCore<T> {
 #[derive(Clone, Debug)]
 pub struct Backoff {
     attempt: u32,
-    cap: u32,
     /// Whitening state, re-seeded by each `steps` call's entropy.
     state: u64,
 }
 
 impl Backoff {
-    /// Default window exponent cap: windows never exceed 2^12 = 4096
-    /// steps unless a policy widens the cap via [`Backoff::set_cap`].
+    /// Window exponent cap: windows never exceed 2^12 = 4096 steps.
     pub const CAP_EXP: u32 = 12;
 
-    /// Hard ceiling on [`Backoff::set_cap`]: no policy, however
-    /// adaptive, may widen windows past 2^16 = 65536 steps. This is
-    /// mechanism, not policy — it bounds how long any retry can stall,
-    /// independent of what the contention manager recommends.
-    pub const MAX_CAP_EXP: u32 = 16;
-
     pub fn new() -> Self {
-        Backoff { attempt: 0, cap: Self::CAP_EXP, state: 0x9E37_79B9_7F4A_7C15 }
+        Backoff { attempt: 0, state: 0x9E37_79B9_7F4A_7C15 }
     }
 
     /// Restart the window schedule (next draw sees attempt 0).
@@ -124,21 +116,8 @@ impl Backoff {
     /// *commit*, never between successive aborts of the same
     /// transaction — the window must keep widening across an abort
     /// streak or backoff does nothing to break symmetric retry races.
-    /// The cap set by [`Backoff::set_cap`] survives a reset; it tracks
-    /// the thread's environment, not one transaction's history.
     pub fn reset(&mut self) {
         self.attempt = 0;
-    }
-
-    /// Set the window exponent cap, clamped to [`Backoff::MAX_CAP_EXP`].
-    /// Takes effect on the next [`Backoff::steps`] draw.
-    pub fn set_cap(&mut self, cap_exp: u32) {
-        self.cap = cap_exp.min(Self::MAX_CAP_EXP);
-    }
-
-    /// The window exponent cap currently in effect.
-    pub fn cap(&self) -> u32 {
-        self.cap
     }
 
     /// Number of spin-wait steps to take before the next retry, given a
@@ -146,7 +125,7 @@ impl Backoff {
     /// the cap; the draw mixes the per-attempt entropy into the internal
     /// state (splitmix64 finalizer) before reducing.
     pub fn steps(&mut self, random: u64) -> u64 {
-        let exp = self.attempt.min(self.cap);
+        let exp = self.attempt.min(Self::CAP_EXP);
         self.attempt = self.attempt.saturating_add(1);
         // Re-seed per attempt: fold the caller's entropy in, then whiten.
         self.state = self.state.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ random;

@@ -252,32 +252,6 @@ fn backoff_window_persists_across_aborts_resets_on_commit() {
     }
 }
 
-/// `set_cap` widens or narrows the window cap, is clamped to
-/// `MAX_CAP_EXP`, and survives `reset` (the cap tracks the environment,
-/// not one transaction's history).
-#[test]
-fn backoff_cap_is_dynamic_clamped_and_reset_proof() {
-    let mut rng = DetRng::new(0xBAC0_0005);
-    for case in 0..64 {
-        let cap = rng.range_inclusive(0, 24) as u32;
-        let mut bo = Backoff::new();
-        bo.set_cap(cap);
-        let effective = cap.min(Backoff::MAX_CAP_EXP);
-        assert_eq!(bo.cap(), effective, "case {case}: cap must clamp to MAX_CAP_EXP");
-        // Saturate the schedule, then verify draws respect the cap.
-        for _ in 0..40 {
-            bo.steps(rng.next_u64());
-        }
-        for draw in 0..32 {
-            let s = bo.steps(rng.next_u64());
-            assert!(s < 1u64 << effective, "case {case}, draw {draw}: {s} escaped 2^{effective}");
-        }
-        bo.reset();
-        assert_eq!(bo.cap(), effective, "case {case}: reset must not touch the cap");
-        assert_eq!(bo.attempt(), 0, "case {case}: reset must restart the schedule");
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Memory-layout placement (stripe mapping of wide indicators)
 // ---------------------------------------------------------------------------
