@@ -90,9 +90,9 @@ pub struct TmStats {
     pub htm_other_aborts: u64,
     /// Transactions that fell back to the software path.
     pub fallbacks: u64,
-    /// Always 0: no contention manager escalates objects any more. Kept
-    /// only because the repo benchmark's per-layer report still reads
-    /// it; it goes with that report's `cm.escalations` row.
+    /// Always 0: no contention manager escalates objects. Kept only
+    /// because the repo benchmark's per-layer report still reads it; it
+    /// goes with that report's `cm.escalations` row.
     pub cm_escalations: u64,
     /// Logical transactions that experienced ≥1 abort before committing
     /// — the paper's "X% of transactions abort" metric (per-transaction,
