@@ -100,14 +100,13 @@ impl Cell {
                 write!(
                     out,
                     "{}{{ \"addr\": {}, \"conflicts\": {}, \"waits\": {}, \
-                     \"inflations\": {}, \"acquires\": {}, \"reader_scans\": {} }}",
+                     \"inflations\": {}, \"acquires\": {} }}",
                     if i > 0 { ", " } else { "" },
                     h.addr,
                     h.conflicts,
                     h.waits,
                     h.inflations,
-                    h.acquires,
-                    h.reader_scans
+                    h.acquires
                 )
                 .unwrap();
             }
@@ -159,24 +158,12 @@ impl FigureReport {
                 writeln!(out, "  hottest objects, {} @ {} threads:", s.system, c.threads)
                     .unwrap();
                 for h in &c.hotspots {
-                    // Stripe lines of a striped reader indicator show up as
-                    // their own addresses with non-zero reader_scans — the
-                    // per-stripe writer-scan attribution at >64 threads.
-                    if h.reader_scans > 0 {
-                        writeln!(
-                            out,
-                            "    stripe@{:#x}: {} reader scans, {} conflicts",
-                            h.addr, h.reader_scans, h.conflicts
-                        )
-                        .unwrap();
-                    } else {
-                        writeln!(
-                            out,
-                            "    obj@{:#x}: {} conflicts, {} waits, {} inflations, {} acquires",
-                            h.addr, h.conflicts, h.waits, h.inflations, h.acquires
-                        )
-                        .unwrap();
-                    }
+                    writeln!(
+                        out,
+                        "    obj@{:#x}: {} conflicts, {} waits, {} inflations, {} acquires",
+                        h.addr, h.conflicts, h.waits, h.inflations, h.acquires
+                    )
+                    .unwrap();
                 }
             }
         }
@@ -243,7 +230,6 @@ mod tests {
                             inflations: 1,
                             deflations: 0,
                             acquires: 7,
-                            reader_scans: 0,
                         }],
                     }],
                 }],

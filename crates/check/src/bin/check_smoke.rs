@@ -217,23 +217,19 @@ fn main() {
 
     if deep {
         // The wide storms run first: they are the coverage the smoke pass
-        // lacks entirely (past the 64-thread flat reader-bitmap boundary,
-        // multiplexed onto 8 simulated cores, so every visible read lands
-        // in the striped indicator while token oversubscription shuffles
-        // which contexts make progress). The hybrid backend stays on
-        // narrow machines — its HTM model is tuned for them.
+        // lacks entirely (64 contexts, every bit of the reader bitmap,
+        // multiplexed onto 8 simulated cores while token oversubscription
+        // shuffles which contexts make progress). The hybrid backend stays
+        // on narrow machines — its HTM model is tuned for them.
         for backend in BACKENDS {
             if backend == Backend::Hybrid {
                 continue;
             }
-            let name = backend.name();
-            for threads in [68usize, 96, 128] {
-                c.stage(
-                    &format!("{name} wide abort storm x{threads}"),
-                    &CheckConfig::abort_storm_wide(backend, threads),
-                    |b| explore_random(b, 25, 4),
-                );
-            }
+            c.stage(
+                &format!("{} wide abort storm x64", backend.name()),
+                &CheckConfig::abort_storm_wide(backend, 64),
+                |b| explore_random(b, 25, 4),
+            );
         }
         for backend in BACKENDS {
             let name = backend.name();

@@ -307,11 +307,10 @@ impl CheckConfig {
         }
     }
 
-    /// Wide abort storm: `threads` contexts (possibly past the 64-bit
-    /// flat reader-bitmap limit, exercising the striped indicator) on an
-    /// oversubscribed 8-core machine, minimal patience, one transfer per
-    /// thread. Judged by conservation past 64 history ops (see
-    /// [`crate::explore::judge`]).
+    /// Wide abort storm: `threads` contexts (at most 64, one reader bit
+    /// each) on an oversubscribed 8-core machine, minimal patience, one
+    /// transfer per thread. Judged by conservation past 64 history ops
+    /// (see [`crate::explore::judge`]).
     pub fn abort_storm_wide(backend: Backend, threads: usize) -> Self {
         CheckConfig {
             threads,

@@ -22,7 +22,7 @@ use nztm_core::registry::ThreadRegistry;
 use nztm_core::stats::{ThreadStats, TmStats};
 use nztm_core::txn::{Abort, AbortCause, Status, TxnDesc};
 use nztm_core::util::{Backoff, PerCore};
-use nztm_core::{ReaderIndicator, ReaderVisit, TmSys};
+use nztm_core::{ReaderIndicator, TmSys};
 use nztm_sim::{AccessKind, DetRng, Platform};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,10 +31,10 @@ use std::sync::Arc;
 struct ShadowHeader {
     /// Raw pointer to the owning `TxnDesc` (one strong count); 0 = none.
     owner: AtomicU64,
-    /// Visible readers: flat bitmap up to 64 threads, striped above.
-    /// Its home address is the object's synthetic base: metadata at the
-    /// base, data at base+32, the collocated shadow right after the data
-    /// — the 100% space overhead is visible to the cache model.
+    /// Visible readers: one bit per thread. Its home address is the
+    /// object's synthetic base: metadata at the base, data at base+32,
+    /// the collocated shadow right after the data — the 100% space
+    /// overhead is visible to the cache model.
     readers: ReaderIndicator,
 }
 
@@ -46,7 +46,7 @@ unsafe fn release_txn_arc(arg: u64) {
 
 impl ShadowHeader {
     fn addr(&self) -> usize {
-        self.readers.summary_addr()
+        self.readers.addr()
     }
 
     fn owner_desc<'g>(&self, _guard: &'g Guard) -> Option<(&'g TxnDesc, u64)> {
@@ -105,7 +105,7 @@ pub struct ShadowObject<T: TmData> {
 }
 
 impl<T: TmData> ShadowObject<T> {
-    fn new(init: T, reader_capacity: usize) -> Arc<Self> {
+    fn new(init: T) -> Arc<Self> {
         // Metadata + data + collocated shadow: double the payload
         // footprint, as in DSTM2-SF.
         let bytes = 32 + 2 * T::n_words() * 8;
@@ -117,7 +117,7 @@ impl<T: TmData> ShadowObject<T> {
         let obj: ShadowObject<T> = ShadowObject {
             header: ShadowHeader {
                 owner: AtomicU64::new(0),
-                readers: ReaderIndicator::new(reader_capacity, synth),
+                readers: ReaderIndicator::new(synth),
             },
             data: T::Words::new_zeroed(),
             shadow: T::Words::new_zeroed(),
@@ -242,8 +242,11 @@ pub struct ShadowStm<P: Platform> {
 }
 
 impl<P: Platform> ShadowStm<P> {
+    /// Panics when the platform has more than [`nztm_core::MAX_THREADS`]
+    /// threads: each object's reader bitmap has one bit per thread.
     pub fn new(platform: Arc<P>, cm: Arc<dyn ContentionManager>) -> Arc<Self> {
         let n = platform.n_cores();
+        nztm_core::readers::assert_thread_limit(n);
         let thread_stats: Box<[Arc<ThreadStats>]> =
             (0..n).map(|_| Arc::new(ThreadStats::default())).collect();
         Arc::new(ShadowStm {
@@ -340,7 +343,7 @@ impl<P: Platform> ShadowStm<P> {
 
     fn clear_reader_bits(&self, ctx: &mut ThreadCtx, tid: usize) {
         for r in ctx.read_set.drain(..) {
-            self.platform.mem_nb(r.header().readers.word_addr(tid), 8, AccessKind::Rmw);
+            self.platform.mem_nb(r.header().addr(), 8, AccessKind::Rmw);
             r.header().readers.remove(tid);
         }
     }
@@ -393,21 +396,16 @@ impl<P: Platform> ShadowStm<P> {
     fn request_readers(&self, ctx: &mut ThreadCtx, h: &ShadowHeader, tid: usize, guard: &Guard) -> Result<(), Abort> {
         self.platform.mem(h.addr(), 8, AccessKind::Read);
         let me = Arc::as_ptr(Self::me(ctx));
-        h.readers.visit_readers(tid, |step| match step {
-            ReaderVisit::Stripe { addr, .. } => {
-                self.platform.mem(addr, 8, AccessKind::Read);
-            }
-            ReaderVisit::Reader { tid: t } => {
-                self.platform.mem(self.registry.slot_addr(t), 8, AccessKind::Read);
-                if let Some(d) = self.registry.current(t, guard) {
-                    if !std::ptr::eq(d, me) && d.status() == Status::Active {
-                        self.platform.mem(d.addr(), 8, AccessKind::Rmw);
-                        d.request_abort();
-                        ctx.stats.abort_requests_sent.bump();
-                    }
+        for t in h.readers.readers_other_than(tid) {
+            self.platform.mem(self.registry.slot_addr(t), 8, AccessKind::Read);
+            if let Some(d) = self.registry.current(t, guard) {
+                if !std::ptr::eq(d, me) && d.status() == Status::Active {
+                    self.platform.mem(d.addr(), 8, AccessKind::Rmw);
+                    d.request_abort();
+                    ctx.stats.abort_requests_sent.bump();
                 }
             }
-        });
+        }
         self.validate(ctx)
     }
 
@@ -478,10 +476,8 @@ impl<P: Platform> ShadowStm<P> {
         loop {
             let guard = nztm_epoch::pin();
             if !registered {
-                self.platform.mem(h.readers.word_addr(tid), 8, AccessKind::Rmw);
-                if h.readers.add(tid) {
-                    self.platform.mem_nb(h.addr(), 8, AccessKind::Rmw);
-                }
+                self.platform.mem(h.addr(), 8, AccessKind::Rmw);
+                h.readers.add(tid);
                 let any: Arc<dyn ShadowAny> = obj.clone();
                 ctx.read_set.push(any);
                 registered = true;
@@ -571,7 +567,7 @@ impl<P: Platform> TmSys for ShadowStm<P> {
     type Tx<'t> = ShadowTx<'t, P>;
 
     fn alloc<T: TmData>(&self, init: T) -> Self::Obj<T> {
-        ShadowObject::new(init, self.registry.len())
+        ShadowObject::new(init)
     }
 
     fn peek<T: TmData>(obj: &Self::Obj<T>) -> T {

@@ -479,8 +479,12 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     /// Assemble an engine from parts. [`crate::NzBuilder`] is the
     /// shorthand when the paper-default [`NzConfig`] (give or take the
     /// read mode, contention manager and native-HTM policy) is wanted.
+    ///
+    /// Panics when the platform has more than [`crate::MAX_THREADS`]
+    /// threads: each object's reader bitmap has one bit per thread.
     pub fn new(platform: Arc<P>, cm: Arc<dyn ContentionManager>, cfg: NzConfig) -> Arc<Self> {
         let n = platform.n_cores();
+        crate::readers::assert_thread_limit(n);
         let thread_stats: Box<[Arc<ThreadStats>]> =
             (0..n).map(|_| Arc::new(ThreadStats::default())).collect();
         let trace_capacity = cfg.trace.capacity;
@@ -524,13 +528,8 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     }
 
     /// Allocate a transactional object.
-    ///
-    /// The reader indicator is sized for this engine's thread count: on
-    /// platforms with ≤ 64 threads the object keeps the paper's inline
-    /// bitmap word (bit-for-bit the seed layout); wider platforms get a
-    /// striped indicator so reads scale past 64 threads.
     pub fn new_obj<T: TmData>(&self, init: T) -> Arc<NZObject<T>> {
-        NZObject::new_with_capacity(init, self.registry.len())
+        NZObject::new(init)
     }
 
     /// Merge per-thread statistics into a report. Safe to call from any
@@ -876,7 +875,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         if self.cfg.read_mode == ReadMode::Visible {
             while let Some(r) = ctx.read_set.pop() {
                 let h = r.obj.header();
-                self.platform.mem_nb(h.reader_word_addr(tid), 8, AccessKind::Rmw);
+                self.platform.mem_nb(h.addr(), 8, AccessKind::Rmw);
                 let _intact = h.remove_reader(tid);
                 #[cfg(feature = "sanitize")]
                 self.san.reader_remove(h.addr(), tid, _intact);
@@ -1034,44 +1033,26 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         if self.cfg.read_mode != ReadMode::Visible {
             return Ok(());
         }
-        // Summary load: with no readers (or striped mode with an empty
-        // summary) the writer pays exactly this one header-line read.
+        // Bitmap load: with no readers the writer pays exactly this one
+        // header-line read.
         self.platform.mem(h.addr(), 8, AccessKind::Read);
         let me = Arc::as_ptr(Self::me(ctx));
-        h.reader_indicator().visit_readers(tid, |step| match step {
-            crate::readers::ReaderVisit::Stripe { addr, .. } => {
-                // Striped mode only: each flagged stripe is one extra
-                // cache-line read (sticky summary bits can make this a
-                // miss on an already-empty stripe — a perf cost, never a
-                // missed reader).
-                self.platform.mem(addr, 8, AccessKind::Read);
-                trace_evt!(self, ctx, tid, ReaderScan, addr as u64, h.addr() as u64);
-            }
-            crate::readers::ReaderVisit::Reader { tid: t } => {
-                self.platform.mem(self.registry.slot_addr(t), 8, AccessKind::Read);
-                if let Some(d) = self.registry.current(t, guard) {
-                    if !std::ptr::eq(d, me) && d.status() == Status::Active {
-                        // A live writer-reader conflict, resolved by request.
-                        hot_stat!(ctx, conflicts);
-                        trace_evt!(
-                            self,
-                            ctx,
-                            tid,
-                            Conflict,
-                            h.addr() as u64,
-                            crate::trace::pack_txn(t, d.serial)
-                        );
-                        self.san_point(ctx, tid, crate::sanitizer::Point::AnpSet);
-                        self.platform.mem(d.addr(), 8, AccessKind::Rmw);
-                        let _prev = d.request_abort();
-                        #[cfg(feature = "sanitize")]
-                        self.san
-                            .anp_set(d as *const TxnDesc as u64, _prev == Status::Active);
-                        ctx.stats.abort_requests_sent.bump();
-                    }
+        for t in h.readers_other_than(tid) {
+            self.platform.mem(self.registry.slot_addr(t), 8, AccessKind::Read);
+            if let Some(d) = self.registry.current(t, guard) {
+                if !std::ptr::eq(d, me) && d.status() == Status::Active {
+                    // A live writer-reader conflict, resolved by request.
+                    hot_stat!(ctx, conflicts);
+                    trace_evt!(self, ctx, tid, Conflict, h.addr() as u64, crate::trace::pack_txn(t, d.serial));
+                    self.san_point(ctx, tid, crate::sanitizer::Point::AnpSet);
+                    self.platform.mem(d.addr(), 8, AccessKind::Rmw);
+                    let _prev = d.request_abort();
+                    #[cfg(feature = "sanitize")]
+                    self.san.anp_set(d as *const TxnDesc as u64, _prev == Status::Active);
+                    ctx.stats.abort_requests_sent.bump();
                 }
             }
-        });
+        }
         self.validate(ctx)
     }
 
@@ -1614,15 +1595,9 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 // Register *before* examining the owner so any later
                 // writer is guaranteed to see us. The index dedups
                 // re-reads: one entry (and one `Arc` clone) per object
-                // per transaction, however many times it is read. On a
-                // striped indicator the registration lands on this
-                // thread's own stripe line; the first reader of a stripe
-                // additionally sets its sticky summary bit in the header
-                // line.
-                self.platform.mem(h.reader_word_addr(tid), 8, AccessKind::Rmw);
-                if h.add_reader(tid) {
-                    self.platform.mem_nb(h.addr(), 8, AccessKind::Rmw);
-                }
+                // per transaction, however many times it is read.
+                self.platform.mem(h.addr(), 8, AccessKind::Rmw);
+                h.add_reader(tid);
                 #[cfg(feature = "sanitize")]
                 self.san.reader_add(h.addr(), tid);
                 let any: Arc<dyn NzObjAny> = obj.clone();

@@ -82,7 +82,7 @@ pub use engine::{
     ReadMode, ScssMode, TraceConfig,
 };
 pub use object::{NZObject, NzObjAny, WordBuf};
-pub use readers::{ReaderIndicator, ReaderVisit};
+pub use readers::{ReaderIndicator, MAX_THREADS};
 pub use runtime::{Handle, ObjPool, TmSys};
 pub use stats::{ThreadStats, TmStats};
 pub use trace::{EventKind, ObjectHeat, Trace, TraceEvent};

@@ -6,23 +6,20 @@
 //! +-----------------+  \
 //! | Owner (tagged)  |   |
 //! | Backup Data ptr |   |  metadata words: the four of Figure 1,
-//! | Readers bitmap  |   |  plus two the figure does not draw
-//! | Version         |   |  (48-byte NZHeader)
-//! | (stripes ptr)   |   |
-//! | (synth address) |  /
+//! | Readers bitmap  |   |  plus the synthetic address
+//! | (synth address) |   |  (40-byte NZHeader)
+//! | Version         |  /
 //! | Data word 0     |  \
 //! | ...             |   |  data, in place, at a fixed offset
 //! | Data word N-1   |  /
 //! +-----------------+
 //! ```
 //!
-//! The two extra words belong to the reader indicator: a pointer that
-//! is null unless more than 64 threads can read (striped mode, whose
-//! stripe array lives behind it), and the object's synthetic base
-//! address, which the simulator's cache model charges instead of host
-//! addresses. `NZObject` is naturally aligned, so `Arc::new` takes
-//! `malloc`'s fast path: a `u64` object is 56 bytes, 72 with the `Arc`
-//! counts.
+//! The extra word is the object's synthetic base address, which the
+//! simulator's cache model charges instead of host addresses; it sits
+//! next to the reader bitmap inside the [`ReaderIndicator`]. `NZObject`
+//! is naturally aligned, so `Arc::new` takes `malloc`'s fast path: a
+//! `u64` object is 48 bytes, 64 with the `Arc` counts.
 //!
 //! * **Owner** — `0` when unowned; a pointer to the last acquiring
 //!   [`TxnDesc`] when the low bit is clear; a pointer to a
@@ -34,11 +31,9 @@
 //!   buffers come from a per-thread pool and are reclaimed by successful
 //!   committers, reproducing the cache-locality property of §4.4.2.
 //! * **Readers** — visible-reader indicator, the read-sharing mechanism
-//!   referenced in §2/§2.4. Up to 64 threads it is the paper's inline
-//!   bitmap word; wider systems switch to a striped
-//!   [`crate::readers::ReaderIndicator`] whose summary word lives here
-//!   and whose per-stripe words sit behind one pointer, on cache lines
-//!   of their own.
+//!   referenced in §2/§2.4: the paper's inline bitmap word, one bit per
+//!   thread, which is why a TM system hosts at most
+//!   [`crate::readers::MAX_THREADS`] threads.
 //! * **Version** — bumped on each exclusive acquisition; only consumed by
 //!   the invisible-reader *extension*, ignored by the paper's algorithms.
 //! * **Clone()** — the paper stores a clone-function pointer; in Rust the
@@ -242,13 +237,12 @@ pub(crate) const INFLATED_TAG: u64 = 1;
 
 /// The metadata head shared by every `NZObject<T>` (type-erased view).
 ///
-/// Six words, 48 bytes: owner, backup, version and the three-word
+/// Five words, 40 bytes: owner, backup, version and the two-word
 /// [`ReaderIndicator`], which also holds the object's synthetic base
-/// address (its summary word's home). In the simulator's address space
-/// the metadata occupies `[base, base+32)` and the in-place data starts
-/// at `base + 32`, so small objects' metadata and data share one cache
-/// line — the collocation property of Figure 1. A striped reader
-/// indicator's stripe array takes additional synthetic lines of its own.
+/// address. In the simulator's address space the metadata occupies
+/// `[base, base+32)` and the in-place data starts at `base + 32`, so
+/// small objects' metadata and data share one cache line — the
+/// collocation property of Figure 1.
 pub struct NZHeader {
     owner: AtomicU64,
     backup: AtomicU64,
@@ -263,20 +257,12 @@ impl Default for NZHeader {
 }
 
 impl NZHeader {
-    /// Build a header whose synthetic object base is `synth`, with the
-    /// flat 64-thread reader indicator (the seed layout).
+    /// Build a header whose synthetic object base is `synth`.
     pub fn with_synth(synth: usize) -> Self {
-        NZHeader::with_synth_capacity(synth, crate::readers::FLAT_CAPACITY)
-    }
-
-    /// Build a header whose reader indicator can register up to
-    /// `reader_capacity` threads. Capacities ≤ 64 keep the flat in-line
-    /// bitmap; larger ones allocate a striped indicator.
-    pub fn with_synth_capacity(synth: usize, reader_capacity: usize) -> Self {
         NZHeader {
             owner: AtomicU64::new(0),
             backup: AtomicU64::new(0),
-            readers: ReaderIndicator::new(reader_capacity, synth),
+            readers: ReaderIndicator::new(synth),
             version: AtomicU64::new(0),
         }
     }
@@ -287,7 +273,7 @@ impl NZHeader {
     /// metadata words share the object's first line with the first data
     /// words — collocation is the point).
     pub fn addr(&self) -> usize {
-        self.readers.summary_addr()
+        self.readers.addr()
     }
 
     /// Synthetic address of the in-place data (fixed offset 32 from the
@@ -434,31 +420,22 @@ impl NZHeader {
 
     // ---- visible-reader indicator ------------------------------------------
 
-    /// Register thread `tid` as a visible reader. Returns `true` when a
-    /// striped indicator's summary word was also written (one extra RMW
-    /// on [`NZHeader::addr`] for cost-charging callers).
-    pub fn add_reader(&self, tid: usize) -> bool {
+    /// Register thread `tid` as a visible reader (one RMW on the header
+    /// line, [`NZHeader::addr`]).
+    pub fn add_reader(&self, tid: usize) {
         self.readers.add(tid)
     }
 
     /// Deregister thread `tid`. Returns `true` when the registration was
-    /// intact (bit still set, sticky summary bit still present) — the
-    /// sanitizer treats `false` as a protocol violation.
+    /// intact (bit still set) — the sanitizer treats `false` as a
+    /// protocol violation.
     pub fn remove_reader(&self, tid: usize) -> bool {
         self.readers.remove(tid)
     }
 
-    /// The object's reader indicator (enumeration, stripe addresses,
-    /// occupancy queries).
-    pub fn reader_indicator(&self) -> &ReaderIndicator {
-        &self.readers
-    }
-
-    /// Synthetic address of the word `tid`'s reader registration RMWs:
-    /// the header line itself in flat mode, `tid`'s stripe line when
-    /// striped.
-    pub fn reader_word_addr(&self, tid: usize) -> usize {
-        self.readers.word_addr(tid)
+    /// The visible readers other than `skip_tid` (a writer's snapshot).
+    pub fn readers_other_than(&self, skip_tid: usize) -> impl Iterator<Item = usize> {
+        self.readers.readers_other_than(skip_tid)
     }
 
     /// True when a thread other than `self_tid` is a visible reader
@@ -531,18 +508,8 @@ pub struct NZObject<T: TmData> {
 }
 
 impl<T: TmData> NZObject<T> {
-    /// Allocate with the flat 64-thread reader indicator (the seed
-    /// layout). Engines that may host more threads use
-    /// [`NZObject::new_with_capacity`].
+    /// Allocate an unowned object holding `init`.
     pub fn new(init: T) -> Arc<Self> {
-        Self::new_with_capacity(init, crate::readers::FLAT_CAPACITY)
-    }
-
-    /// Allocate with a reader indicator sized for `reader_capacity`
-    /// threads. Capacities ≤ 64 are identical to [`NZObject::new`] —
-    /// same layout, same synthetic-address consumption — so engines can
-    /// thread their platform's thread count through unconditionally.
-    pub fn new_with_capacity(init: T, reader_capacity: usize) -> Arc<Self> {
         let obj_bytes = 32 + T::n_words() * 8;
         let base = nztm_sim::synth_alloc(obj_bytes);
         // Attribution split: the first line holds the header words (plus
@@ -553,7 +520,7 @@ impl<T: TmData> NZObject<T> {
             nztm_sim::tag_synth_range(base + 64, obj_bytes - 64, nztm_sim::StructClass::ObjData);
         }
         let obj: NZObject<T> = NZObject {
-            header: NZHeader::with_synth_capacity(base, reader_capacity),
+            header: NZHeader::with_synth(base),
             data: T::Words::new_zeroed(),
         };
         let mut buf = vec![0u64; T::n_words()];
@@ -637,7 +604,7 @@ mod tests {
         let g = nztm_epoch::pin();
         assert!(matches!(o.header().owner(&g), OwnerRef::None));
         assert_eq!(o.read_untracked(), 42);
-        assert_eq!(o.header().reader_indicator().reader_count(), 0);
+        assert!(!o.header().has_reader_other_than(0));
     }
 
     #[test]
@@ -728,63 +695,39 @@ mod tests {
     fn reader_bitmap_set_clear() {
         let o = NZObject::new(0u64);
         let h = o.header();
-        assert!(!h.add_reader(3), "flat mode has no separate summary word");
-        assert!(!h.add_reader(5));
-        let ind = h.reader_indicator();
-        assert!(!ind.is_striped());
-        assert!(ind.is_reader(3) && ind.is_reader(5));
-        assert_eq!(ind.reader_count(), 2);
+        h.add_reader(3);
+        h.add_reader(5);
+        assert_eq!(h.readers_other_than(0).collect::<Vec<_>>(), vec![3, 5]);
         assert!(h.has_reader_other_than(3));
         assert!(h.remove_reader(3));
-        assert!(ind.is_reader(5) && !ind.is_reader(3));
+        assert_eq!(h.readers_other_than(0).collect::<Vec<_>>(), vec![5]);
+        assert!(!h.has_reader_other_than(5));
         assert!(h.remove_reader(5));
-        assert_eq!(ind.reader_count(), 0);
-        assert_eq!(h.reader_word_addr(9), h.addr(), "flat registrations charge the header line");
-    }
-
-    #[test]
-    fn wide_objects_stripe_readers_past_64_threads() {
-        let o = NZObject::new_with_capacity(0u64, 128);
-        let h = o.header();
-        let ind = h.reader_indicator();
-        assert!(ind.is_striped());
-        assert_eq!(ind.capacity(), 128);
-        assert!(!h.has_reader_other_than(0));
-        h.add_reader(7);
-        h.add_reader(100);
-        assert!(h.has_reader_other_than(7));
-        assert!(h.remove_reader(100));
-        assert!(h.remove_reader(7));
-        assert!(!h.has_reader_other_than(usize::from(u8::MAX) % 128));
-        // The stripe array takes its own synthetic lines, disjoint from
-        // the header/data lines.
-        assert_ne!(h.reader_word_addr(0) >> 6, h.addr() >> 6);
-        assert_ne!(h.reader_word_addr(1) >> 6, h.reader_word_addr(0) >> 6);
+        assert!(!h.remove_reader(5), "a cleared bit reports a lost registration");
+        assert_eq!(h.readers_other_than(0).count(), 0);
     }
 
     #[test]
     fn default_layout_is_seed_identical() {
-        // Allocating with an explicit flat capacity must consume exactly
-        // the same synthetic lines as the plain constructor: equal
-        // strides between consecutive objects.
+        // Each object takes the same synthetic stride, with its data at
+        // the fixed offset after the metadata.
         let a = NZObject::new(7u64);
         let b = NZObject::new(7u64);
-        let c = NZObject::new_with_capacity(7u64, 8);
-        let d = NZObject::new_with_capacity(7u64, 8);
+        let c = NZObject::new(7u64);
         assert_eq!(
             b.header().addr() - a.header().addr(),
-            d.header().addr() - c.header().addr()
+            c.header().addr() - b.header().addr()
         );
         assert_eq!(c.data_addr(), c.header().addr() + 32);
     }
 
     #[test]
-    fn header_is_six_words_and_objects_take_malloc_alignment() {
-        assert!(std::mem::size_of::<NZHeader>() <= 48, "owner, backup, version + 3-word indicator");
+    fn header_is_five_words_and_objects_take_malloc_alignment() {
+        assert_eq!(std::mem::size_of::<NZHeader>(), 40, "owner, backup, version + 2-word indicator");
         // Above 16 bytes `Arc::new` leaves malloc's fast path for
         // `posix_memalign`.
         assert!(std::mem::align_of::<NZObject<u64>>() <= 16);
-        assert!(std::mem::size_of::<NZObject<u64>>() <= 56);
+        assert_eq!(std::mem::size_of::<NZObject<u64>>(), 48);
     }
 
     #[test]

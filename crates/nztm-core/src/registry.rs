@@ -2,12 +2,13 @@
 //! descriptor.
 //!
 //! Visible reading (the read-sharing mechanism the paper's experiments
-//! use) registers readers in a per-object indicator — one bit per thread
+//! use) registers readers in a per-object bitmap — one bit per thread
 //! ([`crate::readers::ReaderIndicator`]). A writer that finds reader
 //! bits set must translate each bit back to a transaction in order to
 //! request its abort; this registry provides that translation. The
-//! registry itself is one padded slot per thread and carries no
-//! thread-count ceiling.
+//! registry itself is one padded slot per thread with no ceiling of its
+//! own; the 64-thread limit is the bitmap's, checked when a TM system is
+//! built.
 //!
 //! A slot holds a raw pointer carrying one strong `Arc` count, replaced at
 //! each transaction begin; the displaced descriptor's count is dropped

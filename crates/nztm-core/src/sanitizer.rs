@@ -476,8 +476,7 @@ impl Sanitizer {
     }
 
     /// Thread `tid` deregistered as a visible reader. `intact` is the
-    /// indicator's own report: the registration (the stripe bit and, in
-    /// striped mode, its sticky summary bit) was still present at removal.
+    /// indicator's own report: `tid`'s bit was still set at removal.
     pub fn reader_remove(&self, h_addr: usize, tid: usize, intact: bool) {
         let mut s = self.lock();
         let was_tracked = s.objs.entry(h_addr).or_default().readers.remove(&tid);
@@ -493,10 +492,10 @@ impl Sanitizer {
         if !intact {
             let d = format!(
                 "object {h_addr:#x}: thread {tid} is registered in the mirror but the \
-                 indicator lost the registration before removal (stripe or sticky \
-                 summary bit cleared) — a writer could have missed this reader"
+                 bitmap lost its bit before removal — a writer could have missed \
+                 this reader"
             );
-            Self::push_violation(&mut s, self, "reader-summary-bit-lost", d);
+            Self::push_violation(&mut s, self, "reader-bit-lost", d);
         }
     }
 
@@ -689,11 +688,11 @@ mod tests {
     #[test]
     fn lost_reader_registration_is_flagged() {
         let s = Sanitizer::new();
-        s.reader_add(0x40, 70);
-        s.reader_remove(0x40, 70, false);
-        assert_eq!(s.violations()[0].rule, "reader-summary-bit-lost");
+        s.reader_add(0x40, 7);
+        s.reader_remove(0x40, 7, false);
+        assert_eq!(s.violations()[0].rule, "reader-bit-lost");
         // The mirror entry is consumed either way.
-        s.reader_remove(0x40, 70, true);
+        s.reader_remove(0x40, 7, true);
         assert_eq!(s.violations()[1].rule, "reader-remove-without-add");
     }
 

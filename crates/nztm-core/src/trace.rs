@@ -78,11 +78,6 @@ pub enum EventKind {
     /// The simulated scheduler handed the run token to a core. `thread` =
     /// `a` = the chosen core. Injected by [`Trace::merge_schedule`].
     SchedSwitch = 13,
-    /// A writer scanned one flagged stripe of a striped reader indicator
-    /// while requesting reader aborts. `a` = stripe line address, `b` =
-    /// object address (`NZHeader::addr`). Only emitted past 64 threads
-    /// (flat indicators keep readers on the header line and never scan).
-    ReaderScan = 14,
     /// An ADT-level operation descriptor published by a transactional
     /// data structure (see [`crate::adt::AdtOpDesc`] and
     /// [`crate::TmSys::note_adt_op`]). `a` = the operation key,
@@ -115,7 +110,6 @@ impl EventKind {
             EventKind::HtmAbort => "htm_abort",
             EventKind::HtmFallback => "htm_fallback",
             EventKind::SchedSwitch => "sched_switch",
-            EventKind::ReaderScan => "reader_scan",
             EventKind::AdtOp => "adt_op",
             EventKind::NorecValidate => "norec_validate",
             EventKind::NorecExtend => "norec_extend",
@@ -213,9 +207,6 @@ impl TraceEvent {
                 format!("falls back to software after {} hw attempts", self.a)
             }
             EventKind::SchedSwitch => format!("scheduler runs core {}", self.a),
-            EventKind::ReaderScan => {
-                format!("scans reader stripe @{:#x} of {}", self.a, obj_name(self.b))
-            }
             EventKind::AdtOp => {
                 let (adt, op) = crate::adt::AdtOpDesc::unpack(self.b);
                 format!("adt#{adt} {} key {}", op.name(), self.a)
@@ -303,10 +294,6 @@ pub struct ObjectHeat {
     pub inflations: u64,
     pub deflations: u64,
     pub acquires: u64,
-    /// Writer scans of this reader-indicator stripe line. Non-zero only
-    /// for stripe addresses (striped indicators, > 64 threads); attributes
-    /// reader-side contention to the exact stripe a writer had to walk.
-    pub reader_scans: u64,
 }
 
 impl ObjectHeat {
@@ -472,8 +459,7 @@ impl Trace {
                 | EventKind::Conflict
                 | EventKind::Wait
                 | EventKind::Inflate
-                | EventKind::Deflate
-                | EventKind::ReaderScan => {
+                | EventKind::Deflate => {
                     heat.entry(e.a).or_insert_with(|| ObjectHeat { addr: e.a, ..Default::default() })
                 }
                 _ => continue,
@@ -484,7 +470,6 @@ impl Trace {
                 EventKind::Wait => h.waits += 1,
                 EventKind::Inflate => h.inflations += 1,
                 EventKind::Deflate => h.deflations += 1,
-                EventKind::ReaderScan => h.reader_scans += 1,
                 _ => {}
             }
         }
@@ -692,5 +677,48 @@ mod tests {
         let e = ev(4, 2, 0, EventKind::Conflict, 100, pack_txn(1, 3));
         let mut namer = |addr: u64| format!("obj#{}", addr / 100);
         assert_eq!(e.describe(&mut namer), "conflict on obj#1 with t1#3");
+    }
+
+    /// docs/PROTOCOL.md's flight-recorder table has a row for every kind.
+    #[test]
+    fn protocol_md_documents_every_event_kind() {
+        use EventKind::*;
+        const ALL: [EventKind; 17] = [
+            TxnBegin, TxnCommit, TxnAbort, Acquire, Conflict, Wait, Inflate, Deflate, ScssStore,
+            HtmAttempt, HtmCommit, HtmAbort, HtmFallback, SchedSwitch, AdtOp, NorecValidate,
+            NorecExtend,
+        ];
+        // Exhaustive: a new kind does not compile until it has a position
+        // here, and so a place in `ALL`.
+        let position = |k: EventKind| match k {
+            TxnBegin => 0,
+            TxnCommit => 1,
+            TxnAbort => 2,
+            Acquire => 3,
+            Conflict => 4,
+            Wait => 5,
+            Inflate => 6,
+            Deflate => 7,
+            ScssStore => 8,
+            HtmAttempt => 9,
+            HtmCommit => 10,
+            HtmAbort => 11,
+            HtmFallback => 12,
+            SchedSwitch => 13,
+            AdtOp => 14,
+            NorecValidate => 15,
+            NorecExtend => 16,
+        };
+        let doc = include_str!("../../../docs/PROTOCOL.md");
+        let first_cells: Vec<&str> =
+            doc.lines().filter_map(|l| l.strip_prefix('|')?.split('|').next()).collect();
+        for (i, &k) in ALL.iter().enumerate() {
+            assert_eq!(position(k), i, "{k:?} out of place in ALL");
+            let name = format!("`{k:?}`");
+            assert!(
+                first_cells.iter().any(|c| c.contains(&name)),
+                "docs/PROTOCOL.md's flight-recorder table has no row for {name}"
+            );
+        }
     }
 }

@@ -252,57 +252,6 @@ fn backoff_window_persists_across_aborts_resets_on_commit() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Memory-layout placement (stripe mapping of wide indicators)
-// ---------------------------------------------------------------------------
-
-mod placement {
-    use super::*;
-    use nztm_core::{ReaderIndicator, ReaderVisit};
-
-    /// Stripe assignment is a pure function of tid: stable across
-    /// registration, deregistration, and re-registration (thread
-    /// exit/reuse), at >64 threads. A tid's stripe word and visit
-    /// round-trip never move no matter what churn the indicator has
-    /// seen.
-    #[test]
-    fn mapping_is_stable_across_thread_exit_and_reuse() {
-        let mut rng = DetRng::new(0x70D0_0001);
-        for case in 0..32 {
-            let n = rng.range_inclusive(65, 192) as usize;
-            let ri = ReaderIndicator::new(n, 0x1_0000);
-            assert!(ri.is_striped(), "case {case}: >64 threads must stripe");
-            let word0: Vec<usize> = (0..n).map(|t| ri.word_addr(t)).collect();
-            // Churn: random add/remove traffic, including repeated
-            // exit/reuse of the same tids.
-            let mut registered = vec![false; n];
-            for _ in 0..512 {
-                let t = rng.next_below(n as u64) as usize;
-                if registered[t] {
-                    assert!(ri.remove(t), "case {case}: own registration was intact");
-                } else {
-                    ri.add(t);
-                }
-                registered[t] = !registered[t];
-                assert_eq!(ri.word_addr(t), word0[t], "case {case}: stripe moved under churn");
-            }
-            // Mappings after churn are bit-identical to before.
-            assert_eq!((0..n).map(|t| ri.word_addr(t)).collect::<Vec<_>>(), word0, "case {case}");
-            // And the visit enumeration inverts the mapping exactly.
-            let mut seen: Vec<usize> = Vec::new();
-            ri.visit_readers(usize::MAX, |v| {
-                if let ReaderVisit::Reader { tid } = v {
-                    seen.push(tid);
-                }
-            });
-            seen.sort_unstable();
-            let expect: Vec<usize> =
-                (0..n).filter(|&t| registered[t]).collect();
-            assert_eq!(seen, expect, "case {case}: visit must invert the stripe mapping");
-        }
-    }
-}
-
 /// Given the same entropy sequence, two instances produce identical
 /// step sequences (replayability); the re-seeding actually consumes the
 /// entropy, so a different sequence diverges once windows are wide.

@@ -2,7 +2,7 @@
 //!
 //! The cache model answers "how many misses"; this module answers "on
 //! **which structure**". STM code tags the synthetic address ranges it
-//! allocates (reader-indicator stripes, registry slots, object headers,
+//! allocates (registry slots, object headers, object data,
 //! word buffers, ...) and, when a [`Machine`](crate::Machine) has
 //! attribution armed, every charged access is classified against those
 //! ranges and counted per class. The result is the simulator-side half of
@@ -27,7 +27,11 @@ use std::sync::Mutex;
 /// the buffers the engine moves data through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StructClass {
-    /// Striped reader-indicator stripe arrays (readers.rs).
+    /// Always 0: nothing allocates in this class since the reader
+    /// indicator became one bitmap word in the object header. Kept
+    /// because the repo benchmark reports `sim.miss.reader_stripes_per_op`
+    /// and iterates [`StructClass::ALL`]; it goes with the next change to
+    /// the benchmark.
     ReaderStripes,
     /// Thread-registry slots (registry.rs).
     RegistrySlots,

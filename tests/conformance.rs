@@ -13,6 +13,7 @@ use nztm_bench::registry::{
 };
 use nztm_core::cm::KarmaDeadlock;
 use nztm_core::{Abort, AbortCause, BackendKind, NzBuilder, NzConfig, Nzstm, ReadMode, TmSys};
+use nztm_dstm::ShadowStm;
 use nztm_htm::{AtmtpConfig, BestEffortHtm, HybridConfig, LogTmSe, NztmHybrid};
 use nztm_sim::{Machine, MachineConfig, Native, SimPlatform};
 use std::sync::Arc;
@@ -206,6 +207,27 @@ fn conformance_nzstm_invisible_reads() {
     let sys = NzBuilder::new(native1()).read_mode(ReadMode::Invisible).build_nzstm();
     battery(&*sys, ENGINE);
     tds_battery(&*sys, true);
+}
+
+/// Every TM system checks the thread limit once, when it is built: each
+/// object's reader bitmap has one bit per thread, so 65 threads must be
+/// refused. `Native::new` spawns no thread.
+#[test]
+fn every_tm_system_refuses_more_than_64_threads() {
+    fn refuses<S>(name: &str, build: impl FnOnce(Arc<Native>) -> Arc<S>) {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build(Native::new(65))))
+            .err()
+            .unwrap_or_else(|| panic!("{name}: built over 65 threads"));
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("at most 64 threads"), "{name}: {msg}");
+    }
+    refuses("BZSTM", |p| NzBuilder::new(p).build_bzstm());
+    refuses("NZSTM", |p| NzBuilder::new(p).build_nzstm());
+    refuses("SCSS", |p| NzBuilder::new(p).build_scss());
+    refuses("NOREC", |p| NzBuilder::new(p).build_norec());
+    refuses("DSTM2-SF", ShadowStm::with_defaults);
+    // The limit itself builds.
+    NzBuilder::new(Native::new(64)).build_nzstm();
 }
 
 /// Same enumeration discipline for the reference systems.
