@@ -20,8 +20,7 @@ pub struct Cell {
     pub htm_share: f64,
     pub inflations: u64,
     /// Per-object contention attribution from the flight recorder
-    /// (empty unless built with `--features trace` and tracing armed,
-    /// e.g. `NZTM_BENCH_TRACE=1`).
+    /// (empty unless tracing was armed, e.g. `NZTM_BENCH_TRACE=1`).
     pub hotspots: Vec<ObjectHeat>,
 }
 

@@ -111,8 +111,8 @@ impl WorkloadScale {
 }
 
 /// Whether bench cells should arm the engine flight recorder
-/// (`NZTM_BENCH_TRACE=1`). With the `trace` cargo feature off,
-/// `set_tracing` is a no-op and reports simply carry no hotspots.
+/// (`NZTM_BENCH_TRACE=1`). Systems without a recorder ignore
+/// `set_tracing`, and their reports carry no hotspots.
 pub fn trace_requested() -> bool {
     std::env::var_os("NZTM_BENCH_TRACE").is_some_and(|v| v == "1")
 }

@@ -10,8 +10,7 @@
 //! armed and prints an annotated timeline naming the conflicting
 //! transactions and objects. `--perfetto <out.json>` additionally
 //! writes the trace in Chrome `trace_event` format (load it at
-//! <https://ui.perfetto.dev>). Both need the binary built with
-//! `--features trace` to capture events.
+//! <https://ui.perfetto.dev>).
 //!
 //! Exit status: 0 if the artifact's failure reproduces, 1 if the run
 //! passes or fails differently, 2 on usage or parse errors.

@@ -203,9 +203,8 @@ pub struct CheckConfig {
     /// pause budget; requires `sanitize`).
     pub yield_points: bool,
     /// Arm the engine flight recorder and collect a merged event trace
-    /// in [`RunOutcome::trace`] (needs the `trace` cargo feature to
-    /// capture anything). Not part of the artifact text format — replay
-    /// tooling sets it ad hoc when rendering timelines.
+    /// in [`RunOutcome::trace`]. Not part of the artifact text format —
+    /// replay tooling sets it ad hoc when rendering timelines.
     pub trace: bool,
 }
 
@@ -348,7 +347,7 @@ pub struct RunOutcome {
     /// The run tripped the simulator watchdog (livelock/deadlock).
     pub watchdog: bool,
     /// Merged flight-recorder trace with scheduler decisions interleaved
-    /// (empty unless [`CheckConfig::trace`] and the `trace` feature).
+    /// (empty unless [`CheckConfig::trace`]).
     pub trace: nztm_core::Trace,
     /// Object addresses in allocation order — `obj_addrs[i]` is the
     /// trace-event address of workload object `i`.

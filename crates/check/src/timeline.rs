@@ -7,10 +7,6 @@
 //! with scheduler decisions interleaved in the same logical-clock
 //! column. The same trace exports to Chrome `trace_event` JSON for
 //! Perfetto via [`nztm_core::Trace::to_chrome_trace`].
-//!
-//! Capturing events needs the `trace` cargo feature; without it the
-//! replay still runs but the timeline is empty and [`render_artifact`]
-//! says so rather than producing a blank report.
 
 use crate::artifact::Artifact;
 use crate::explore::judge;
@@ -31,10 +27,10 @@ pub fn object_namer(obj_addrs: &[u64]) -> impl FnMut(u64) -> String + '_ {
 
 /// Render a run's merged trace as one annotated line per event:
 /// `clock  [thread]  description`. Returns an explanatory placeholder
-/// when the trace is empty (feature off or tracing disarmed).
+/// when the trace is empty (tracing disarmed).
 pub fn render_timeline(out: &RunOutcome) -> String {
     if out.trace.is_empty() {
-        return "(no trace events captured — build with --features trace)\n".to_string();
+        return "(no trace events captured — the run had tracing disarmed)\n".to_string();
     }
     let mut s = String::with_capacity(out.trace.events.len() * 48);
     if out.trace.overwritten > 0 {
@@ -125,12 +121,11 @@ mod tests {
         assert_eq!(traced.obj_addrs.len(), base.objects);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn timeline_names_transactions_and_objects() {
         let cfg = CheckConfig { trace: true, ..CheckConfig::transfer(Backend::Nzstm) };
         let out = run_config(&cfg);
-        assert!(!out.trace.is_empty(), "trace feature is on and tracing was armed");
+        assert!(!out.trace.is_empty(), "tracing was armed");
         out.trace.check_well_formed().expect("merged trace is well-formed");
         // Scheduler decisions landed in the same timeline.
         assert!(out
@@ -147,7 +142,6 @@ mod tests {
         assert_eq!(json.matches("\"ph\":\"B\"").count(), json.matches("\"ph\":\"E\"").count());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn all_four_backends_emit_merged_traces() {
         for b in crate::harness::BACKENDS {

@@ -69,11 +69,9 @@ pub struct NztmHybrid<P: Platform = SimPlatform, H: HtmBackend = BestEffortHtm> 
     /// single-writer atomics, so snapshots need no quiescence.
     stats: Box<[ThreadStats]>,
     /// Flight-recorder rings for hardware-path events (the software
-    /// fallback records into the embedded STM's own rings).
-    #[cfg(feature = "trace")]
+    /// fallback records into the embedded STM's own rings). Armed and
+    /// sized together with the STM's recorder.
     rings: nztm_core::util::PerCore<nztm_core::trace::TraceRing>,
-    #[cfg(feature = "trace")]
-    trace_on: std::sync::atomic::AtomicBool,
 }
 
 impl<P: Platform, H: HtmBackend> NztmHybrid<P, H> {
@@ -84,28 +82,23 @@ impl<P: Platform, H: HtmBackend> NztmHybrid<P, H> {
         assert_visible_reads(stm.read_mode());
         let platform = Arc::clone(stm.platform());
         let n = platform.n_cores();
-        #[cfg(feature = "trace")]
-        let trace_on = std::sync::atomic::AtomicBool::new(stm.tracing_enabled());
+        let trace_capacity = stm.trace_capacity();
         Arc::new(NztmHybrid {
             stm,
             htm,
             platform,
             cfg,
             stats: (0..n).map(|_| ThreadStats::default()).collect(),
-            #[cfg(feature = "trace")]
             rings: nztm_core::util::PerCore::new(n, |_| {
-                nztm_core::trace::TraceRing::new(1 << 16)
+                nztm_core::trace::TraceRing::new(trace_capacity)
             }),
-            #[cfg(feature = "trace")]
-            trace_on,
         })
     }
 
-    /// Record a hardware-path flight-recorder event (no-op without the
-    /// `trace` feature or while disarmed).
-    #[cfg(feature = "trace")]
+    /// Record a hardware-path flight-recorder event (no-op while the
+    /// STM's recorder is disarmed).
     fn trace_hw(&self, core: usize, kind: nztm_core::trace::EventKind, a: u64, b: u64) {
-        if self.trace_on.load(std::sync::atomic::Ordering::Relaxed) {
+        if self.stm.tracing_enabled() {
             let clock = self.platform.now();
             // Safety: `core` is the calling thread's own core id
             // (single-writer ring).
@@ -113,10 +106,6 @@ impl<P: Platform, H: HtmBackend> NztmHybrid<P, H> {
             ring.record(clock, core as u16, kind, a, b);
         }
     }
-
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    fn trace_hw(&self, _core: usize, _kind: nztm_core::trace::EventKind, _a: u64, _b: u64) {}
 
     pub fn stm(&self) -> &Arc<Nzstm<P>> {
         &self.stm
@@ -334,10 +323,7 @@ impl<P: Platform, H: HtmBackend> TmSys for NztmHybrid<P, H> {
             // announcement on the hybrid's own per-core cell (the trace
             // event would be torn on a hardware abort, so stats only).
             HybridTx::Hw { sys, core, .. } => {
-                #[cfg(feature = "stats")]
                 sys.stats[*core].adt_ops.bump();
-                #[cfg(not(feature = "stats"))]
-                let _ = (sys, core);
                 let _ = desc;
             }
             HybridTx::Sw { tx, .. } => tx.note_adt_op(desc),
@@ -360,14 +346,11 @@ impl<P: Platform, H: HtmBackend> TmSys for NztmHybrid<P, H> {
     }
 
     fn set_tracing(&self, on: bool) {
-        #[cfg(feature = "trace")]
-        self.trace_on.store(on, std::sync::atomic::Ordering::Relaxed);
         self.stm.set_tracing(on);
     }
 
     fn take_trace(&self) -> Trace {
         let mut trace = self.stm.take_trace();
-        #[cfg(feature = "trace")]
         for core in 0..self.platform.n_cores() {
             // Safety: quiescent-only contract of `take_trace` — no core is
             // running transactions while we drain.
@@ -444,6 +427,42 @@ mod tests {
         let st = hy.stats_snapshot();
         assert_eq!(st.htm_commits, 50, "all hardware, no fallback: {st:?}");
         assert_eq!(st.fallbacks, 0);
+        hy.htm().uninstall();
+    }
+
+    /// The hardware-path rings take their size from the engine's
+    /// `TraceConfig`: 100 hardware commits record 200 events into a
+    /// 16-event ring, so the oldest are overwritten.
+    #[test]
+    fn hardware_rings_honour_the_trace_capacity() {
+        let m = Machine::new(MachineConfig::paper(1));
+        let p = SimPlatform::new(Arc::clone(&m));
+        let trace = nztm_core::TraceConfig { enabled: true, capacity: 16 };
+        let stm = Nzstm::new(
+            Arc::clone(&p),
+            Arc::new(KarmaDeadlock::default()),
+            NzConfig { trace, ..NzConfig::default() },
+        );
+        let htm = BestEffortHtm::new(
+            Arc::clone(&p),
+            AtmtpConfig { spurious_num: 0, ..AtmtpConfig::default() },
+        );
+        htm.install();
+        let hy = NztmHybrid::new(stm, htm, HybridConfig::default());
+        let o = hy.alloc(0u64);
+        let (h2, o2) = (Arc::clone(&hy), Arc::clone(&o));
+        m.run(vec![Box::new(move || {
+            for _ in 0..100 {
+                h2.execute(|tx| {
+                    let v = NztmHybrid::read(tx, &o2)?;
+                    NztmHybrid::write(tx, &o2, &(v + 1))
+                });
+            }
+        })]);
+        assert_eq!(hy.stats_snapshot().htm_commits, 100);
+        let t = hy.take_trace();
+        assert_eq!(t.events.len(), 16, "one full 16-event ring");
+        assert!(t.overwritten > 0, "a 16-event ring overflowed: {}", t.overwritten);
         hy.htm().uninstall();
     }
 

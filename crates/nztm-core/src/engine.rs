@@ -38,41 +38,14 @@ use nztm_sim::{AccessKind, DetRng, Platform};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// Increment a hot-path statistics counter. Compiled to nothing without
-/// the `stats` feature (tier-1 builds keep it on; a bench profile can
-/// build `--no-default-features` to strip per-access increments).
-/// Lifecycle counters (commits, aborts, inflations, HTM outcomes) are
-/// incremented directly — they are consumed by harnesses and policies.
-///
-/// Counters are single-writer atomic cells ([`ThreadStats`]): the bump is
-/// an ordinary unlocked add, but any thread may read a snapshot mid-run
-/// ([`NzStm::stats_snapshot`]).
-macro_rules! hot_stat {
-    ($ctx:expr, $field:ident) => {{
-        // No-op borrow so call sites type-check identically without the
-        // feature (and `ctx` parameters stay "used").
-        let _ = &$ctx.stats.$field;
-        #[cfg(feature = "stats")]
-        {
-            $ctx.stats.$field.bump();
-        }
-    }};
-}
-
-/// Record a flight-recorder event ([`crate::trace`]). Compiled to nothing
-/// without the `trace` feature; with it, recording still requires runtime
-/// arming ([`NzStm::set_tracing`]) and costs one relaxed load when
-/// disarmed. The payload expressions are not evaluated unless armed.
+/// Record a flight-recorder event ([`crate::trace`]). Recording requires
+/// runtime arming ([`NzStm::set_tracing`]) and costs one relaxed load
+/// when disarmed. The payload expressions are not evaluated unless armed.
 macro_rules! trace_evt {
     ($sys:expr, $ctx:expr, $tid:expr, $kind:ident, $a:expr, $b:expr) => {{
-        #[cfg(feature = "trace")]
         if $sys.trace_on.load(std::sync::atomic::Ordering::Relaxed) {
             let clock = $sys.platform.now();
             $ctx.ring.record(clock, $tid as u16, crate::trace::EventKind::$kind, $a, $b);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = $tid;
         }
     }};
 }
@@ -174,15 +147,14 @@ pub enum NativeHtmPolicy {
     ForceOn,
 }
 
-/// Flight-recorder knobs (see [`crate::trace`]). The struct is always
-/// present so configurations are feature-independent; without the `trace`
-/// cargo feature it is inert (the hooks are compiled out).
+/// Flight-recorder knobs (see [`crate::trace`]).
 #[derive(Clone, Debug)]
 pub struct TraceConfig {
     /// Arm event recording at construction. Can be toggled later via
     /// [`NzStm::set_tracing`].
     pub enabled: bool,
     /// Per-thread ring capacity in events (overwrite-oldest beyond this).
+    /// A ring reserves memory only as it records.
     pub capacity: usize,
 }
 
@@ -202,7 +174,7 @@ pub struct NzConfig {
     /// Extra cycles charged per SCSS store on simulated platforms (models
     /// the short hardware transaction's latency).
     pub scss_cycles: u64,
-    /// Flight-recorder configuration (inert without the `trace` feature).
+    /// Flight-recorder configuration.
     pub trace: TraceConfig,
     /// Native-HTM policy for hybrids assembled over this engine (the
     /// engine itself ignores it; see [`NativeHtmPolicy`]).
@@ -374,7 +346,6 @@ struct ThreadCtx {
     /// [`WriteTarget::Buffered`] entries.
     norec_redo: Vec<u64>,
     /// Flight-recorder ring (single-writer; drained quiescently).
-    #[cfg(feature = "trace")]
     ring: crate::trace::TraceRing,
     /// Per-thread sanitizer pause stream, keyed by the schedule
     /// generation that derived it (re-split on `set_schedule`).
@@ -384,8 +355,6 @@ struct ThreadCtx {
 
 impl ThreadCtx {
     fn new(tid: usize, stats: Arc<ThreadStats>, trace_capacity: usize) -> Self {
-        #[cfg(not(feature = "trace"))]
-        let _ = trace_capacity;
         ThreadCtx {
             current: None,
             serial: 0,
@@ -401,7 +370,6 @@ impl ThreadCtx {
             snapshot: 0,
             norec_vals: Vec::new(),
             norec_redo: Vec::new(),
-            #[cfg(feature = "trace")]
             ring: crate::trace::TraceRing::new(trace_capacity),
             #[cfg(feature = "sanitize")]
             san_rng: None,
@@ -468,7 +436,6 @@ pub struct NzStm<P: Platform, M: ModePolicy> {
     norec_clock: NorecClock,
     cfg: NzConfig,
     /// Runtime arming flag for the flight recorder.
-    #[cfg(feature = "trace")]
     trace_on: std::sync::atomic::AtomicBool,
     #[cfg(feature = "sanitize")]
     san: crate::sanitizer::Sanitizer,
@@ -488,7 +455,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         let thread_stats: Box<[Arc<ThreadStats>]> =
             (0..n).map(|_| Arc::new(ThreadStats::default())).collect();
         let trace_capacity = cfg.trace.capacity;
-        #[cfg(feature = "trace")]
         let trace_on = std::sync::atomic::AtomicBool::new(cfg.trace.enabled);
         Arc::new(NzStm {
             platform,
@@ -500,7 +466,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             thread_stats,
             norec_clock: NorecClock::new(),
             cfg,
-            #[cfg(feature = "trace")]
             trace_on,
             #[cfg(feature = "sanitize")]
             san: crate::sanitizer::Sanitizer::new(),
@@ -552,24 +517,21 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         }
     }
 
-    /// Arm or disarm flight-recorder event capture. Without the `trace`
-    /// cargo feature this is a no-op (the hooks are compiled out).
+    /// Arm or disarm flight-recorder event capture.
     pub fn set_tracing(&self, on: bool) {
-        #[cfg(feature = "trace")]
         self.trace_on.store(on, std::sync::atomic::Ordering::Relaxed);
-        #[cfg(not(feature = "trace"))]
-        let _ = on;
     }
 
-    /// True when event capture is armed (always false without the
-    /// `trace` feature).
+    /// True when event capture is armed.
     pub fn tracing_enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.trace_on.load(std::sync::atomic::Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "trace"))]
-        false
+        self.trace_on.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Per-thread flight-recorder ring capacity in events
+    /// ([`TraceConfig::capacity`]), for recorders layered over this
+    /// engine.
+    pub fn trace_capacity(&self) -> usize {
+        self.cfg.trace.capacity
     }
 
     /// Drain every thread's event ring into one merged, time-ordered
@@ -577,11 +539,9 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     ///
     /// Must only be called while no transactions are in flight (between
     /// runs): rings are single-writer and read here without
-    /// synchronization. Returns an empty trace without the `trace`
-    /// feature.
+    /// synchronization.
     pub fn take_trace(&self) -> Trace {
         let mut trace = Trace::default();
-        #[cfg(feature = "trace")]
         for tid in 0..self.threads.len() {
             // Safety: quiescence contract above.
             let ctx = unsafe { self.threads.get(tid) };
@@ -717,7 +677,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     /// drains through the epoch.
     fn begin(&self, ctx: &mut ThreadCtx, tid: usize, guard: &Guard) {
         ctx.serial += 1;
-        hot_stat!(ctx, descriptor_alloc);
+        ctx.stats.descriptor_alloc.bump();
         let desc = Arc::new(TxnDesc::new(tid as u32, ctx.serial));
         self.registry.publish(tid, &desc, guard);
         self.platform.mem(self.registry.slot_addr(tid), 8, AccessKind::Write);
@@ -905,7 +865,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         await_ack: bool,
     ) -> Result<ConflictOutcome, Abort> {
         let tid = Self::me(ctx).thread;
-        hot_stat!(ctx, conflicts);
+        ctx.stats.conflicts.bump();
         trace_evt!(
             self,
             ctx,
@@ -921,7 +881,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         #[cfg(feature = "sanitize")]
         let peer_key = other as *const TxnDesc as u64;
         let mut waited = 0u64;
-        #[cfg(feature = "trace")]
         let mut traced_wait = false;
         loop {
             self.validate(ctx)?;
@@ -941,7 +900,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             // unit its budgets are documented in.
             match self.cm.resolve(Self::me(ctx), other, waited) {
                 Resolution::Wait => {
-                    #[cfg(feature = "trace")]
                     if !traced_wait {
                         traced_wait = true;
                         trace_evt!(
@@ -957,7 +915,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                     // ("TL raises a flag and waits until TH is done").
                     Self::me(ctx).set_waiting(true);
                     self.platform.spin_wait();
-                    hot_stat!(ctx, wait_steps);
+                    ctx.stats.wait_steps.bump();
                     waited += 1;
                 }
                 Resolution::AbortSelf => {
@@ -1018,7 +976,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                             return Ok(ConflictOutcome::Unresponsive);
                         }
                         self.platform.spin_wait();
-                        hot_stat!(ctx, wait_steps);
+                        ctx.stats.wait_steps.bump();
                         acked_wait += 1;
                     }
                 }
@@ -1042,7 +1000,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             if let Some(d) = self.registry.current(t, guard) {
                 if !std::ptr::eq(d, me) && d.status() == Status::Active {
                     // A live writer-reader conflict, resolved by request.
-                    hot_stat!(ctx, conflicts);
+                    ctx.stats.conflicts.bump();
                     trace_evt!(self, ctx, tid, Conflict, h.addr() as u64, crate::trace::pack_txn(t, d.serial));
                     self.san_point(ctx, tid, crate::sanitizer::Point::AnpSet);
                     self.platform.mem(d.addr(), 8, AccessKind::Rmw);
@@ -1215,7 +1173,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         }
         h.bump_version();
         Self::me(ctx).gained_object();
-        hot_stat!(ctx, acquires);
+        ctx.stats.acquires.bump();
         trace_evt!(self, ctx, tid, Acquire, h.addr() as u64, ctx.serial);
 
         // Visible readers must be told to abort *before* we mutate data.
@@ -1260,11 +1218,11 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             // buffer from the thread-local pool when it has one.
             let buf = match ctx.pool.take(n) {
                 Some(b) => {
-                    hot_stat!(ctx, backup_reused);
+                    ctx.stats.backup_reused.bump();
                     b
                 }
                 None => {
-                    hot_stat!(ctx, backup_alloc);
+                    ctx.stats.backup_alloc.bump();
                     WordBuf::zeroed(n)
                 }
             };
@@ -1327,7 +1285,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     ) -> bool {
         #[cfg(not(feature = "sanitize"))]
         let _ = eager;
-        hot_stat!(ctx, scss_stores);
+        ctx.stats.scss_stores.bump();
         self.platform.work(self.cfg.scss_cycles);
         let me = Self::me(ctx);
         let tid = me.thread;
@@ -1348,7 +1306,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             }
         });
         if !ok {
-            hot_stat!(ctx, scss_failures);
+            ctx.stats.scss_failures.bump();
         }
         trace_evt!(self, ctx, tid, ScssStore, ok as u64, ctx.serial);
         ok
@@ -1424,7 +1382,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             );
             h.bump_version();
             Self::me(ctx).gained_object();
-            hot_stat!(ctx, acquires);
+            ctx.stats.acquires.bump();
             trace_evt!(self, ctx, tid, Acquire, h.addr() as u64, ctx.serial);
             self.request_readers(ctx, h, tid, guard)?;
             push_write(ctx, WriteEntry { obj: Arc::clone(obj), target: WriteTarget::Inflated { loc } });
@@ -1491,7 +1449,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         );
         h.bump_version();
         Self::me(ctx).gained_object();
-        hot_stat!(ctx, acquires);
+        ctx.stats.acquires.bump();
         trace_evt!(self, ctx, tid, Acquire, h.addr() as u64, ctx.serial);
         self.request_readers(ctx, h, tid, guard)?;
 
@@ -1582,7 +1540,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             return self.norec_read(ctx, tid, obj);
         }
         self.validate(ctx)?;
-        hot_stat!(ctx, reads);
+        ctx.stats.reads.bump();
         let me_ptr = Arc::as_ptr(Self::me(ctx));
         let h = obj.header();
         let key = header_key(h);
@@ -1837,7 +1795,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     /// A mismatch means a committed writer overwrote something we read:
     /// the attempt aborts with [`AbortCause::ValueValidation`].
     fn norec_validate_extend(&self, ctx: &mut ThreadCtx, tid: usize) -> Result<(), Abort> {
-        hot_stat!(ctx, norec_validations);
+        ctx.stats.norec_validations.bump();
         trace_evt!(self, ctx, tid, NorecValidate, ctx.snapshot, ctx.read_set.len() as u64);
         loop {
             let t = self.norec_wait_even();
@@ -1853,13 +1811,13 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                         .zip(logged)
                         .all(|(w, v)| w.load(std::sync::atomic::Ordering::Relaxed) == *v);
                 if !intact {
-                    hot_stat!(ctx, conflicts);
+                    ctx.stats.conflicts.bump();
                     return Err(Abort(AbortCause::ValueValidation));
                 }
             }
             if self.norec_clock_load() == t {
                 if t != ctx.snapshot {
-                    hot_stat!(ctx, norec_extensions);
+                    ctx.stats.norec_extensions.bump();
                     trace_evt!(self, ctx, tid, NorecExtend, ctx.snapshot, t);
                     ctx.snapshot = t;
                 }
@@ -1876,7 +1834,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         tid: usize,
         obj: &Arc<NZObject<T>>,
     ) -> Result<T, Abort> {
-        hot_stat!(ctx, reads);
+        ctx.stats.reads.bump();
         let h = obj.header();
         let key = header_key(h);
         let n = T::n_words();
@@ -1947,7 +1905,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         // modes) even though nothing is owned until commit.
         let off = ctx.norec_redo.len();
         ctx.norec_redo.extend_from_slice(&ctx.scratch);
-        hot_stat!(ctx, acquires);
+        ctx.stats.acquires.bump();
         let any: Arc<dyn NzObjAny> = obj.clone();
         push_write(ctx, WriteEntry { obj: any, target: WriteTarget::Buffered { off, len: n } });
         Ok(())
@@ -2081,7 +2039,7 @@ impl<P: Platform, M: ModePolicy> NzTx<P, M> {
         // Safety: as in `read`.
         let (sys, ctx) = unsafe { (&*self.sys, &mut *self.ctx) };
         let _ = (sys, &desc);
-        hot_stat!(ctx, adt_ops);
+        ctx.stats.adt_ops.bump();
         trace_evt!(sys, ctx, tid, AdtOp, desc.key, desc.pack());
     }
 }

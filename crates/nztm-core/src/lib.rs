@@ -48,9 +48,9 @@
 //!
 //! Every engine exposes merged statistics via
 //! [`TmSys::stats_snapshot`] (safe at any
-//! time) and, when built with the non-default `trace` cargo feature, a
-//! [flight recorder](trace) of per-thread transaction events that
-//! exports to JSON-lines and Chrome `trace_event` format (Perfetto).
+//! time) and a [flight recorder](trace) of per-thread transaction events,
+//! armed at run time, that exports to JSON-lines and Chrome
+//! `trace_event` format (Perfetto).
 //!
 //! All engines are generic over [`nztm_sim::Platform`], so the same code
 //! runs on real threads ([`nztm_sim::Native`]) or on the deterministic

@@ -77,7 +77,7 @@ pub trait TmSys: Send + Sync + Sized + 'static {
     fn reset_stats(&self);
 
     /// Arm or disarm flight-recorder event capture. Default: no-op (for
-    /// systems without a recorder, or with the `trace` feature off).
+    /// systems without a recorder).
     fn set_tracing(&self, on: bool) {
         let _ = on;
     }

@@ -19,13 +19,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-thread counters, merged into a run-wide [`TmStats`] report.
 ///
-/// The struct shape is unconditional, but the *hot-path* counters (reads,
-/// acquires, pool traffic, SCSS stores, wait steps, conflicts, descriptor
-/// allocation) are only incremented when the `stats` cargo feature is on —
-/// tier-1 builds keep it on (default), while a bench profile can build
-/// `--no-default-features` to strip even those per-access increments.
-/// Lifecycle counters (commits, aborts, inflations, HTM outcomes) are
-/// always maintained: harnesses and retry policies consume them.
+/// Every counter is always maintained: the hot-path ones (reads,
+/// acquires, pool traffic, SCSS stores, wait steps, conflicts,
+/// descriptor allocation) as well as the lifecycle ones (commits,
+/// aborts, inflations, HTM outcomes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TmStats {
     /// Committed transactions.

@@ -12,12 +12,11 @@
 //!
 //! ## Cost model
 //!
-//! The *types* in this module are always compiled (they appear in the
-//! [`crate::TmSys`] observability surface), but the engines only *record*
-//! when the non-default `trace` cargo feature is on **and** tracing was
-//! armed at runtime ([`crate::TmSys::set_tracing`]). With the feature off
-//! the hot-path hooks compile to nothing; with it on but disarmed they
-//! cost one relaxed load.
+//! The recorder is compiled into every build, but the engines only
+//! *record* once tracing is armed at run time
+//! ([`crate::TmSys::set_tracing`]). Disarmed, a hot-path hook costs one
+//! relaxed load and its ring holds no memory: a [`TraceRing`] grows its
+//! buffer as it records, up to its capacity.
 //!
 //! ## Clock domain
 //!
@@ -238,10 +237,10 @@ pub struct TraceRing {
 }
 
 impl TraceRing {
-    /// An empty ring holding at most `capacity` events (min 16).
+    /// An empty ring holding at most `capacity` events (min 16). It
+    /// reserves nothing until it records, then grows up to `capacity`.
     pub fn new(capacity: usize) -> TraceRing {
-        let cap = capacity.max(16);
-        TraceRing { buf: Vec::with_capacity(cap), cap, next: 0, seq: 0, overwritten: 0 }
+        TraceRing { buf: Vec::new(), cap: capacity.max(16), next: 0, seq: 0, overwritten: 0 }
     }
 
     /// Append one event, overwriting the oldest when full.
@@ -557,6 +556,24 @@ mod tests {
         assert_eq!(out[0].a, 4, "oldest surviving event first");
         assert_eq!(out[15].a, 19);
         assert!(r.is_empty());
+    }
+
+    /// A disarmed recorder holds no memory: the ring grows only as it
+    /// records, and stops growing at its capacity.
+    #[test]
+    fn ring_reserves_nothing_until_it_records() {
+        let cap = 64;
+        let mut r = TraceRing::new(cap);
+        assert_eq!(r.buf.capacity(), 0);
+        for i in 0..3u64 {
+            r.record(i, 0, EventKind::TxnBegin, i, 0);
+        }
+        assert_eq!(r.len(), 3);
+        for i in 3..(cap as u64 + 5) {
+            r.record(i, 0, EventKind::TxnBegin, i, 0);
+        }
+        assert_eq!(r.len(), cap);
+        assert_eq!(r.overwritten, 5);
     }
 
     #[test]

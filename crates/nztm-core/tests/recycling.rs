@@ -32,7 +32,6 @@ fn drive(stm: &Nzstm<Native>, objs: &[Arc<nztm_core::NZObject<u64>>], txns: usiz
 /// the thread-local pool — verified through the `backup_alloc` /
 /// `backup_reused` counters, which are incremented at the pool miss and
 /// hit sites.
-#[cfg(feature = "stats")]
 #[test]
 fn steady_state_reuses_every_backup_buffer() {
     let p = Native::new(1);
@@ -84,6 +83,5 @@ fn recycling_keeps_counters_correct_under_contention() {
     assert_eq!(shared.read_untracked(), (THREADS * TXNS) as u64, "lost updates");
     let st = stm.stats_snapshot();
     assert_eq!(st.commits, (THREADS * TXNS) as u64);
-    #[cfg(feature = "stats")]
     assert!(st.backup_reused > 0, "contended run must still recycle");
 }

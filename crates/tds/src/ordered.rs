@@ -370,7 +370,6 @@ mod tests {
     /// Over tds-mix's key set (2..=4096: every even key and about half of
     /// the odd ones) a `get` makes 22.0 read barriers with six levels and
     /// 44.2 with four.
-    #[cfg(feature = "stats")]
     #[test]
     fn a_get_reads_few_nodes_over_tds_mix_keys() {
         let s = sys();

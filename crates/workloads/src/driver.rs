@@ -63,8 +63,8 @@ pub struct BenchResult {
     pub elapsed: u64,
     /// Merged TM statistics over the measured phase.
     pub stats: TmStats,
-    /// The hottest objects by contention (empty unless the system was
-    /// built with the `trace` feature and tracing armed before the run).
+    /// The hottest objects by contention (empty unless tracing was armed
+    /// before the run).
     pub hotspots: Vec<ObjectHeat>,
 }
 
