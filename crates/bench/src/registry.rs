@@ -39,11 +39,6 @@ pub struct BackendCaps {
     pub records_events: bool,
     /// The system forwards [`TmSys::note_adt_op`] into its stats.
     pub counts_adt_ops: bool,
-    /// The system may commit transactions on a hardware path (real RTM
-    /// or the simulated best-effort model). True only for the hybrid
-    /// compositions, which live outside the software registry — every
-    /// backend the registry visits is pure software.
-    pub hardware_txns: bool,
 }
 
 impl BackendCaps {
@@ -52,21 +47,18 @@ impl BackendCaps {
         explicit_abort: true,
         records_events: true,
         counts_adt_ops: true,
-        hardware_txns: false,
     };
     /// Reference STM: aborts but no recorder, no ADT-op accounting.
     pub const REFERENCE: BackendCaps = BackendCaps {
         explicit_abort: true,
         records_events: false,
         counts_adt_ops: false,
-        hardware_txns: false,
     };
     /// Single-global-lock reference: cannot abort at all.
     pub const NO_ABORT: BackendCaps = BackendCaps {
         explicit_abort: false,
         records_events: false,
         counts_adt_ops: false,
-        hardware_txns: false,
     };
 }
 
@@ -229,7 +221,6 @@ mod tests {
                 let sys = build(p);
                 assert_eq!(sys.name(), kind.name());
                 assert!(caps.explicit_abort);
-                assert!(!caps.hardware_txns, "registry visits software backends only");
             }
         }
         for_each_software_backend(&mut NameCheck);

@@ -909,20 +909,6 @@ fn run_hybrid(cfg: &CheckConfig) -> RunOutcome {
     arm_sanitizer(&stm, cfg);
     let htm = BestEffortHtm::new(Arc::clone(&platform), AtmtpConfig::default());
     htm.install();
-    // Capability gate: schedule exploration replays recorded scheduling
-    // decisions, so the HTM backend's attempts must interleave under the
-    // deterministic sim scheduler. The native RTM backend (htm-native)
-    // is sim_schedulable() == false and must never be explored here —
-    // its commits are invisible to the scheduler and histories would be
-    // unreproducible.
-    {
-        use nztm_htm::backend::HtmBackend;
-        assert!(
-            htm.sim_schedulable(),
-            "nztm-check requires a sim-schedulable HTM backend (got {})",
-            htm.backend_name()
-        );
-    }
     let hybrid = NztmHybrid::new(Arc::clone(&stm), Arc::clone(&htm), HybridConfig::default());
     let init = match cfg.workload {
         Workload::Transfer => cfg.initial,

@@ -33,9 +33,11 @@ thread_local! {
 }
 
 /// Sentinel error unwinding a doomed hardware transaction out of user
-/// code (the reason lives in the CPS flag). Shared with every other
-/// [`HtmBackend`](crate::backend::HtmBackend) implementation.
-pub use crate::backend::HwAbort;
+/// code (the reason lives in the CPS flag). Produced by the tracked
+/// [`HwTxn`] operations when the attempt is doomed and by
+/// [`HwTxn::explicit_abort`]; consumed by [`BestEffortHtm::attempt`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HwAbort;
 
 /// ATMTP configuration (§4.1 defaults).
 #[derive(Clone, Debug)]
@@ -405,54 +407,6 @@ impl HwTxn {
     /// Number of buffered stores so far.
     pub fn stores(&self) -> usize {
         self.st().wbuf.len()
-    }
-}
-
-impl crate::backend::HtmTxnOps for HwTxn {
-    fn track_read(&mut self, addr: usize, bytes: usize) -> Result<(), HwAbort> {
-        HwTxn::track_read(self, addr, bytes)
-    }
-
-    fn track_write(&mut self, addr: usize, bytes: usize) -> Result<(), HwAbort> {
-        HwTxn::track_write(self, addr, bytes)
-    }
-
-    fn read_word(&mut self, word: &AtomicU64, addr: usize) -> Result<u64, HwAbort> {
-        HwTxn::read_word(self, word, addr)
-    }
-
-    fn buffered_store(&mut self, word: &AtomicU64, addr: usize, value: u64) -> Result<(), HwAbort> {
-        HwTxn::buffered_store(self, word, addr, value)
-    }
-
-    fn explicit_abort(&mut self) -> HwAbort {
-        HwTxn::explicit_abort(self)
-    }
-}
-
-impl crate::backend::HtmBackend for BestEffortHtm {
-    type Txn = HwTxn;
-
-    fn attempt<R>(
-        &self,
-        f: impl FnOnce(&mut HwTxn) -> Result<R, HwAbort>,
-    ) -> Result<R, crate::backend::HtmAbortInfo> {
-        // The simulated CPS register *is* the taxonomy: there is no raw
-        // hardware status word to preserve.
-        BestEffortHtm::attempt(self, f)
-            .map_err(|reason| crate::backend::HtmAbortInfo { reason, raw_status: 0 })
-    }
-
-    fn hw_available(&self) -> bool {
-        true
-    }
-
-    fn sim_schedulable(&self) -> bool {
-        true
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "atmtp-sim"
     }
 }
 

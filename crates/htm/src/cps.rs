@@ -6,36 +6,6 @@
 //! reason for aborting was due to a transactional (coherence) conflict
 //! as determined by the CPS register" (§4.3).
 
-/// The architectural x86 RTM abort-status bits (the EAX value `_xbegin`
-/// returns on an abort). Defined here — unconditionally, on every
-/// target — so the status → [`CpsReason`] mapping is a pure function
-/// with table-driven tests that run on any host; a feature-gated test
-/// in the native backend cross-checks these constants against
-/// `core::arch::x86_64`'s `_XABORT_*` exports on x86_64 builds.
-pub mod rtm_status {
-    /// Set when the abort was caused by `xabort` (the 8-bit immediate
-    /// is in bits 31:24 — see [`code`]).
-    pub const EXPLICIT: u32 = 1 << 0;
-    /// The hardware believes a retry may succeed (typically set with
-    /// [`CONFLICT`], clear on capacity overflows).
-    pub const RETRY: u32 = 1 << 1;
-    /// Another logical processor conflicted with a line in this
-    /// transaction's read or write set.
-    pub const CONFLICT: u32 = 1 << 2;
-    /// An internal buffer (read set / store buffer) overflowed.
-    pub const CAPACITY: u32 = 1 << 3;
-    /// A debug breakpoint was hit inside the transaction.
-    pub const DEBUG: u32 = 1 << 4;
-    /// The abort happened inside a nested transaction.
-    pub const NESTED: u32 = 1 << 5;
-
-    /// Extract the `xabort` immediate (valid only when [`EXPLICIT`] is
-    /// set).
-    pub const fn code(status: u32) -> u8 {
-        (status >> 24) as u8
-    }
-}
-
 /// Why a hardware transaction aborted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CpsReason {
@@ -58,42 +28,6 @@ impl CpsReason {
     /// worthwhile.
     pub fn hw_retry_worthwhile(self) -> bool {
         matches!(self, CpsReason::Conflict | CpsReason::Explicit)
-    }
-
-    /// Map a native RTM abort status word (`_xbegin`'s EAX on abort)
-    /// onto the CPS taxonomy. Pure and target-independent so the
-    /// mapping itself is unit-testable on non-RTM hosts.
-    ///
-    /// Priority order, mirroring how Rock's CPS register would have
-    /// classified the same events:
-    ///
-    /// 1. [`rtm_status::EXPLICIT`] → [`CpsReason::Explicit`]: we asked
-    ///    for the abort (§2.4's self-abort on detecting a live software
-    ///    transaction). Retry-worthwhile — the software owner usually
-    ///    settles.
-    /// 2. [`rtm_status::CAPACITY`] → [`CpsReason::Capacity`]: a
-    ///    resource overflow cannot succeed on retry, even when the
-    ///    hardware also reports a coincident conflict.
-    /// 3. [`rtm_status::CONFLICT`] → [`CpsReason::Conflict`]: coherence
-    ///    conflict, the retry policy's bread and butter.
-    /// 4. A bare [`rtm_status::RETRY`] bit → [`CpsReason::Conflict`]:
-    ///    the hardware itself says a retry may succeed, which is the
-    ///    CPS coherence-conflict contract.
-    /// 5. Anything else (status 0, `DEBUG`, `NESTED`) →
-    ///    [`CpsReason::Other`]: environmental, fall back to software.
-    pub fn from_rtm_status(status: u32) -> CpsReason {
-        if status & rtm_status::EXPLICIT != 0 {
-            CpsReason::Explicit
-        } else if status & rtm_status::CAPACITY != 0 {
-            CpsReason::Capacity
-        } else if status & (rtm_status::CONFLICT | rtm_status::RETRY) != 0 {
-            // A CONFLICT, or a bare RETRY hint: either way the hardware
-            // says trying again may succeed — the CPS coherence-conflict
-            // contract.
-            CpsReason::Conflict
-        } else {
-            CpsReason::Other
-        }
     }
 
     /// Encoding used in the per-core doom flag (0 = not doomed).
@@ -135,68 +69,5 @@ mod tests {
         assert!(CpsReason::Conflict.hw_retry_worthwhile());
         assert!(!CpsReason::Capacity.hw_retry_worthwhile());
         assert!(!CpsReason::Other.hw_retry_worthwhile());
-    }
-
-    /// Exhaustive table over every combination of the six architectural
-    /// status bits (64 rows): the mapping must follow the documented
-    /// priority chain for all of them, not just the common singles.
-    #[test]
-    fn rtm_status_mapping_is_total_over_all_bit_combinations() {
-        use rtm_status::*;
-        for bits in 0u32..64 {
-            let status = bits; // the six low bits are exactly the flags
-            let got = CpsReason::from_rtm_status(status);
-            let want = if status & EXPLICIT != 0 {
-                CpsReason::Explicit
-            } else if status & CAPACITY != 0 {
-                CpsReason::Capacity
-            } else if status & (CONFLICT | RETRY) != 0 {
-                CpsReason::Conflict
-            } else {
-                CpsReason::Other
-            };
-            assert_eq!(got, want, "status {status:#08b}");
-        }
-    }
-
-    #[test]
-    fn rtm_status_mapping_named_rows() {
-        use rtm_status::*;
-        // The rows a real RTM implementation actually produces.
-        let table: &[(u32, CpsReason)] = &[
-            // Spurious abort (interrupt, page fault): all bits clear.
-            (0, CpsReason::Other),
-            // xabort from the §2.4 software-conflict check, code 0xCA.
-            (EXPLICIT | RETRY | (0xCA << 24), CpsReason::Explicit),
-            // Plain coherence conflict, retry advised.
-            (CONFLICT | RETRY, CpsReason::Conflict),
-            // Conflict where the hardware advises against retrying —
-            // still a coherence conflict to the CPS taxonomy (the §4.3
-            // policy bounds retries by count, not by the hint).
-            (CONFLICT, CpsReason::Conflict),
-            // Read-set/store-buffer overflow; retry can never succeed.
-            (CAPACITY, CpsReason::Capacity),
-            // Overflow with a coincident conflict stays capacity.
-            (CAPACITY | CONFLICT | RETRY, CpsReason::Capacity),
-            // Bare retry hint (no cause bit): transient, treat as
-            // conflict so the bounded retry policy applies.
-            (RETRY, CpsReason::Conflict),
-            (DEBUG, CpsReason::Other),
-            (NESTED, CpsReason::Other),
-            (DEBUG | NESTED, CpsReason::Other),
-        ];
-        for &(status, want) in table {
-            assert_eq!(CpsReason::from_rtm_status(status), want, "status {status:#x}");
-        }
-    }
-
-    #[test]
-    fn rtm_explicit_code_extraction() {
-        use rtm_status::*;
-        let status = EXPLICIT | RETRY | (0xCAu32 << 24);
-        assert_eq!(code(status), 0xCA);
-        assert_eq!(code(CONFLICT), 0);
-        // The immediate does not disturb classification.
-        assert_eq!(CpsReason::from_rtm_status(status), CpsReason::Explicit);
     }
 }

@@ -19,14 +19,13 @@
 //! exhausted, or if the reason ... was something other than a coherence
 //! conflict, NZTM falls back onto NZSTM."
 //!
-//! The hybrid is generic over the best-effort HTM
-//! ([`crate::backend::HtmBackend`]): the simulated ATMTP model
-//! ([`BestEffortHtm`], the default) and the native x86_64 RTM backend
-//! (`htm-native` feature) share this retry policy, the §2.4 conflict
-//! checks, the statistics, and the flight-recorder events verbatim.
+//! The hardware path is [`BestEffortHtm`], the ATMTP model of Rock's
+//! best-effort HTM on the simulated machine — the configuration the
+//! paper measured on Simics/GEMS. Its attempts interleave under the
+//! deterministic scheduler, so `nztm-check` explores and replays them
+//! like any software transaction.
 
-use crate::backend::{HtmBackend, HtmTxnOps, HwAbort};
-use crate::besteffort::BestEffortHtm;
+use crate::besteffort::{BestEffortHtm, HwAbort, HwTxn};
 use crate::cps::CpsReason;
 use nztm_core::data::TmData;
 use nztm_core::hybrid::{hw_examine_and_clean, HwCheck};
@@ -34,7 +33,7 @@ use nztm_core::stats::{ThreadStats, TmStats};
 use nztm_core::trace::Trace;
 use nztm_core::txn::{Abort, AbortCause};
 use nztm_core::{NZObject, NzTx, Nzstm, ReadMode, TmSys};
-use nztm_sim::{AccessKind, Platform, SimPlatform};
+use nztm_sim::{Platform, SimPlatform};
 use std::sync::Arc;
 
 /// Hybrid tuning.
@@ -51,19 +50,17 @@ impl Default for HybridConfig {
     }
 }
 
-/// Word scratch sized so the common object fits on the stack: a heap
-/// allocation inside a *native* hardware transaction would fault or
-/// syscall and abort it (the simulated model doesn't care), so data
-/// copies for objects up to this many words must not allocate.
+/// Word scratch sized so the common object fits on the stack: data
+/// copies for objects up to this many words take no host allocation per
+/// hardware read or write.
 const SCRATCH_WORDS: usize = 16;
 
-/// The NZTM hybrid system, generic over the platform and the
-/// best-effort HTM backend. Defaults reproduce the paper's simulated
-/// configuration, so existing call sites keep working unchanged.
-pub struct NztmHybrid<P: Platform = SimPlatform, H: HtmBackend = BestEffortHtm> {
-    stm: Arc<Nzstm<P>>,
-    htm: Arc<H>,
-    platform: Arc<P>,
+/// The NZTM hybrid system: NZSTM software transactions behind the
+/// simulated best-effort HTM.
+pub struct NztmHybrid {
+    stm: Arc<Nzstm<SimPlatform>>,
+    htm: Arc<BestEffortHtm>,
+    platform: Arc<SimPlatform>,
     cfg: HybridConfig,
     /// Hardware-path counters, one cache-line-isolated cell per core;
     /// single-writer atomics, so snapshots need no quiescence.
@@ -74,11 +71,15 @@ pub struct NztmHybrid<P: Platform = SimPlatform, H: HtmBackend = BestEffortHtm> 
     rings: nztm_core::util::PerCore<nztm_core::trace::TraceRing>,
 }
 
-impl<P: Platform, H: HtmBackend> NztmHybrid<P, H> {
+impl NztmHybrid {
     /// Build a hybrid over an NZSTM software path and a best-effort HTM.
     /// The STM must use visible reads (the §2.4 reader checks rely on
     /// the reader bitmap).
-    pub fn new(stm: Arc<Nzstm<P>>, htm: Arc<H>, cfg: HybridConfig) -> Arc<Self> {
+    pub fn new(
+        stm: Arc<Nzstm<SimPlatform>>,
+        htm: Arc<BestEffortHtm>,
+        cfg: HybridConfig,
+    ) -> Arc<Self> {
         assert_visible_reads(stm.read_mode());
         let platform = Arc::clone(stm.platform());
         let n = platform.n_cores();
@@ -107,17 +108,17 @@ impl<P: Platform, H: HtmBackend> NztmHybrid<P, H> {
         }
     }
 
-    pub fn stm(&self) -> &Arc<Nzstm<P>> {
+    pub fn stm(&self) -> &Arc<Nzstm<SimPlatform>> {
         &self.stm
     }
 
-    pub fn htm(&self) -> &Arc<H> {
+    pub fn htm(&self) -> &Arc<BestEffortHtm> {
         &self.htm
     }
 
     fn hw_read_obj<T: TmData>(
         &self,
-        hw: &mut H::Txn,
+        hw: &mut HwTxn,
         core: usize,
         obj: &Arc<NZObject<T>>,
     ) -> Result<T, HwAbort> {
@@ -141,9 +142,6 @@ impl<P: Platform, H: HtmBackend> NztmHybrid<P, H> {
         let buf: &mut [u64] = if n <= SCRATCH_WORDS {
             &mut inline[..n]
         } else {
-            // Oversized object: the allocation will typically abort a
-            // native hardware transaction (→ software fallback); on the
-            // simulated model it is free.
             heap = vec![0u64; n];
             &mut heap
         };
@@ -155,7 +153,7 @@ impl<P: Platform, H: HtmBackend> NztmHybrid<P, H> {
 
     fn hw_write_obj<T: TmData>(
         &self,
-        hw: &mut H::Txn,
+        hw: &mut HwTxn,
         core: usize,
         obj: &Arc<NZObject<T>>,
         v: &T,
@@ -185,14 +183,14 @@ impl<P: Platform, H: HtmBackend> NztmHybrid<P, H> {
 }
 
 /// A hybrid transaction: hardware attempt or software fallback.
-pub enum HybridTx<'a, P: Platform = SimPlatform, H: HtmBackend = BestEffortHtm> {
-    Hw { sys: &'a NztmHybrid<P, H>, hw: &'a mut H::Txn, core: usize },
-    Sw { sys: &'a NztmHybrid<P, H>, tx: &'a mut NzTx<P, nztm_core::Nonblocking> },
+pub enum HybridTx<'a> {
+    Hw { sys: &'a NztmHybrid, hw: &'a mut HwTxn, core: usize },
+    Sw { sys: &'a NztmHybrid, tx: &'a mut NzTx<SimPlatform, nztm_core::Nonblocking> },
 }
 
-impl<P: Platform, H: HtmBackend> TmSys for NztmHybrid<P, H> {
+impl TmSys for NztmHybrid {
     type Obj<T: TmData> = Arc<NZObject<T>>;
-    type Tx<'t> = HybridTx<'t, P, H>;
+    type Tx<'t> = HybridTx<'t>;
 
     fn alloc<T: TmData>(&self, init: T) -> Self::Obj<T> {
         self.stm.new_obj(init)
@@ -204,27 +202,17 @@ impl<P: Platform, H: HtmBackend> TmSys for NztmHybrid<P, H> {
 
     fn execute<R>(&self, mut f: impl FnMut(&mut Self::Tx<'_>) -> Result<R, Abort>) -> R {
         let core = self.platform.core_id();
-        // When hardware attempts cannot succeed (native backend on a
-        // host without RTM, or the native path forced off by policy),
-        // go straight to the software path — and don't count it as a
-        // fallback, because nothing fell.
-        let max_hw = if self.htm.hw_available() {
-            self.cfg.retries_factor * self.platform.n_cores()
-        } else {
-            0
-        };
+        let max_hw = self.cfg.retries_factor * self.platform.n_cores();
         let stats = &self.stats[core];
 
         let mut attempts = 0u64;
         while (attempts as usize) < max_hw {
             attempts += 1;
             self.trace_hw(core, nztm_core::trace::EventKind::HtmAttempt, attempts - 1, 0);
-            // Hold the epoch pin *across* the hardware attempt: `pin()`
-            // is re-entrant, so the inner pins taken by the §2.4 checks
-            // inside the transaction are a thread-local depth bump —
-            // no SeqCst participant publication inside a native RTM
-            // region (such a store would join the write set and turn
-            // every concurrent epoch advance into a spurious abort).
+            // One pin per attempt, as in the engine's `run_attempts`:
+            // `pin()` is re-entrant, so the inner pins taken by the §2.4
+            // checks inside the transaction are a thread-local depth
+            // bump instead of each publishing the participant word.
             let outer_pin = nztm_epoch::pin();
             let outcome = self.htm.attempt(|hw| {
                 let mut tx = HybridTx::Hw { sys: self, hw, core };
@@ -244,9 +232,9 @@ impl<P: Platform, H: HtmBackend> TmSys for NztmHybrid<P, H> {
                     self.trace_hw(core, nztm_core::trace::EventKind::HtmCommit, attempts - 1, 0);
                     return v;
                 }
-                Err(info) => {
+                Err(reason) => {
                     stats.htm_aborts.bump();
-                    let cps_class = match info.reason {
+                    let cps_class = match reason {
                         CpsReason::Conflict => {
                             stats.htm_conflict_aborts.bump();
                             0u64
@@ -264,12 +252,13 @@ impl<P: Platform, H: HtmBackend> TmSys for NztmHybrid<P, H> {
                             3
                         }
                     };
-                    // Pack the backend's raw status word (native RTM
-                    // abort status; 0 on the simulated model) above the
-                    // CPS class so the flight recorder carries both.
-                    let b = cps_class | ((info.raw_status as u64) << 8);
-                    self.trace_hw(core, nztm_core::trace::EventKind::HtmAbort, attempts - 1, b);
-                    if !info.reason.hw_retry_worthwhile() {
+                    self.trace_hw(
+                        core,
+                        nztm_core::trace::EventKind::HtmAbort,
+                        attempts - 1,
+                        cps_class,
+                    );
+                    if !reason.hw_retry_worthwhile() {
                         break;
                     }
                 }
@@ -277,8 +266,9 @@ impl<P: Platform, H: HtmBackend> TmSys for NztmHybrid<P, H> {
         }
 
         // Software fallback: this logical transaction aborted in hardware
-        // at least once. With the hardware loop skipped entirely
-        // (`max_hw == 0`) this is the primary path, not a fallback.
+        // at least once. With no hardware attempts at all
+        // (`retries_factor == 0`) this is the primary path, not a
+        // fallback.
         if attempts > 0 {
             stats.fallbacks.bump();
             self.trace_hw(core, nztm_core::trace::EventKind::HtmFallback, attempts, 0);
@@ -375,9 +365,6 @@ pub fn assert_visible_reads(read_mode: ReadMode) {
     );
 }
 
-// Suppress the unused-import lint for AccessKind (used in doc examples).
-const _: Option<AccessKind> = None;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,6 +395,16 @@ mod tests {
         htm.install();
         let hy = NztmHybrid::new(stm, htm, HybridConfig::default());
         (m, p, hy)
+    }
+
+    /// The `b` payloads (CPS classes) of the recorded `HtmAbort` events.
+    fn htm_abort_classes(hy: &NztmHybrid) -> Vec<u64> {
+        let t = hy.take_trace();
+        t.events
+            .iter()
+            .filter(|e| e.kind == nztm_core::trace::EventKind::HtmAbort)
+            .map(|e| e.b)
+            .collect()
     }
 
     #[test]
@@ -505,6 +502,7 @@ mod tests {
         );
         htm.install();
         let hy = NztmHybrid::new(stm, htm, HybridConfig::default());
+        hy.set_tracing(true);
         let objs: Arc<Vec<_>> = Arc::new((0..32).map(|i| hy.alloc(i as u64)).collect());
         let (h2, o2) = (Arc::clone(&hy), Arc::clone(&objs));
         m.run(vec![Box::new(move || {
@@ -520,66 +518,8 @@ mod tests {
         assert_eq!(st.fallbacks, 1, "store-buffer overflow must fall back: {st:?}");
         assert!(st.htm_capacity_aborts >= 1);
         assert_eq!(objs[31].read_untracked(), 32);
+        assert_eq!(htm_abort_classes(&hy), vec![1], "one capacity-class abort event");
         hy.htm().uninstall();
-    }
-
-    #[test]
-    fn native_htm_knob_does_not_perturb_the_simulated_engine() {
-        // Conformance for the `NativeHtmPolicy` builder knob: on the
-        // deterministic simulator the knob is carried but never
-        // consulted (it only selects the backend on native builds), so
-        // a hybrid built with the native path forced off must replay
-        // bit-identically — same final state, same full stats — as one
-        // built with the default policy.
-        use nztm_core::NativeHtmPolicy;
-        let run = |policy: NativeHtmPolicy| {
-            let m = Machine::new(MachineConfig {
-                n_cores: 2,
-                hw_cores: 0,
-                costs: CostModel::default(),
-                l1: CacheConfig::tiny(1024, 4),
-                l2: CacheConfig::tiny(8192, 8),
-                max_cycles: 2_000_000_000,
-            });
-            let p = SimPlatform::new(Arc::clone(&m));
-            let stm = Nzstm::new(
-                Arc::clone(&p),
-                Arc::new(KarmaDeadlock::default()),
-                NzConfig { native_htm: policy, ..NzConfig::default() },
-            );
-            assert_eq!(stm.native_htm_policy(), policy);
-            let htm = BestEffortHtm::new(
-                Arc::clone(&p),
-                AtmtpConfig { spurious_num: 0, ..AtmtpConfig::default() },
-            );
-            htm.install();
-            let hy = NztmHybrid::new(stm, htm, HybridConfig::default());
-            let o = hy.alloc(0u64);
-            let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..2)
-                .map(|_| {
-                    let hy = Arc::clone(&hy);
-                    let o = Arc::clone(&o);
-                    Box::new(move || {
-                        for _ in 0..80 {
-                            hy.execute(|tx| {
-                                let v = NztmHybrid::read(tx, &o)?;
-                                NztmHybrid::write(tx, &o, &(v + 1))
-                            });
-                        }
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            m.run(bodies);
-            let st = hy.stats_snapshot();
-            let v = o.read_untracked();
-            hy.htm().uninstall();
-            (v, st)
-        };
-        let (v_def, st_def) = run(NativeHtmPolicy::Auto);
-        let (v_off, st_off) = run(NativeHtmPolicy::ForceOff);
-        assert_eq!(v_def, 160);
-        assert_eq!(v_off, v_def);
-        assert_eq!(st_off, st_def, "knob must be inert on the simulator");
     }
 
     #[test]
@@ -589,6 +529,7 @@ mod tests {
         // the conflict counter) while staying retry-worthwhile.
         use nztm_core::TxnDesc;
         let (m, _p, hy) = setup(1);
+        hy.set_tracing(true);
         let o = hy.alloc(7u64);
         let live = Arc::new(TxnDesc::new(0, 1));
         {
@@ -615,6 +556,7 @@ mod tests {
         let st = hy.stats_snapshot();
         assert!(st.htm_explicit_aborts >= 1, "self-abort must be explicit: {st:?}");
         assert_eq!(st.htm_conflict_aborts, 0, "no coherence conflict here: {st:?}");
+        assert!(htm_abort_classes(&hy).contains(&3), "explicit-class abort event recorded");
         hy.htm().uninstall();
     }
 

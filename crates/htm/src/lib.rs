@@ -33,20 +33,14 @@
 //! the hardware transaction has accessed, thereby aborting the hardware
 //! transaction".
 
-pub mod backend;
 pub mod besteffort;
 pub mod cps;
 pub mod hybrid;
 pub mod logtm;
-#[cfg(feature = "htm-native")]
-pub mod native;
 pub mod signatures;
 
-pub use backend::{HtmAbortInfo, HtmBackend, HtmTxnOps, HwAbort};
-pub use besteffort::{AtmtpConfig, BestEffortHtm, HwTxn};
+pub use besteffort::{AtmtpConfig, BestEffortHtm, HwAbort, HwTxn};
 pub use cps::CpsReason;
 pub use hybrid::{HybridConfig, HybridTx, NztmHybrid};
 pub use logtm::{LogObject, LogTmSe};
-#[cfg(feature = "htm-native")]
-pub use native::{in_rtm_transaction, rtm_supported, HtmDecision, NativeHtm, RtmTxn};
 pub use signatures::{Signature, SignatureKind};

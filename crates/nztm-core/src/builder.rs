@@ -29,7 +29,7 @@
 
 use crate::cm::{ContentionManager, KarmaDeadlock};
 use crate::engine::{
-    Blocking, ModePolicy, NativeHtmPolicy, Nonblocking, NorecMode, NzConfig, NzStm, ReadMode,
+    Blocking, ModePolicy, Nonblocking, NorecMode, NzConfig, NzStm, ReadMode,
     ScssMode,
 };
 use nztm_sim::Platform;
@@ -123,15 +123,6 @@ impl<P: Platform> NzBuilder<P> {
     /// detection, the paper's §4.3 configuration).
     pub fn cm(mut self, cm: Arc<dyn ContentionManager>) -> Self {
         self.cm = cm;
-        self
-    }
-
-    /// Native-HTM policy for a hybrid assembled over the built engine
-    /// (`nztm-htm` consults it when selecting between the simulated
-    /// ATMTP model and the arch-native RTM backend; the software engine
-    /// itself ignores it). Default: [`NativeHtmPolicy::Auto`].
-    pub fn native_htm(mut self, policy: NativeHtmPolicy) -> Self {
-        self.cfg.native_htm = policy;
         self
     }
 

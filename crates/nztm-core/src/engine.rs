@@ -125,28 +125,6 @@ pub enum ReadMode {
     Invisible,
 }
 
-/// Whether a hybrid built over this engine may use the arch-native
-/// hardware-transaction path (`nztm-htm`'s `htm-native` feature).
-///
-/// Lives here — not in the htm crate — so [`NzConfig`]/`NzBuilder` can
-/// carry the knob without a dependency cycle; the engine itself never
-/// reads it. The htm crate's backend selection consults it together
-/// with the runtime CPUID probe.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum NativeHtmPolicy {
-    /// Use native RTM when the build has it (`htm-native`) and the host
-    /// CPU supports it; otherwise fall back to the simulated model.
-    #[default]
-    Auto,
-    /// Never issue native hardware transactions, even on capable hosts
-    /// — the hybrid behaves bit-identically to the simulated build.
-    ForceOff,
-    /// Require the native path: backend selection panics when the build
-    /// or the host cannot provide RTM (CI probes use this to make
-    /// silent fallback impossible).
-    ForceOn,
-}
-
 /// Flight-recorder knobs (see [`crate::trace`]).
 #[derive(Clone, Debug)]
 pub struct TraceConfig {
@@ -176,9 +154,6 @@ pub struct NzConfig {
     pub scss_cycles: u64,
     /// Flight-recorder configuration.
     pub trace: TraceConfig,
-    /// Native-HTM policy for hybrids assembled over this engine (the
-    /// engine itself ignores it; see [`NativeHtmPolicy`]).
-    pub native_htm: NativeHtmPolicy,
     /// TEST-ONLY fault injection (`sanitize` builds): requesters force
     /// the victim's `Status = Aborted` instead of waiting for the
     /// acknowledgement — the §2.2 handshake violation the sanitizer
@@ -194,7 +169,6 @@ impl Default for NzConfig {
             read_mode: ReadMode::Visible,
             scss_cycles: 25,
             trace: TraceConfig::default(),
-            native_htm: NativeHtmPolicy::default(),
             #[cfg(feature = "sanitize")]
             inject_handshake_bug: false,
         }
@@ -484,12 +458,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     /// The configured read-tracking mode.
     pub fn read_mode(&self) -> ReadMode {
         self.cfg.read_mode
-    }
-
-    /// The native-HTM policy a hybrid assembled over this engine should
-    /// honor (see [`NativeHtmPolicy`]; the engine itself never reads it).
-    pub fn native_htm_policy(&self) -> NativeHtmPolicy {
-        self.cfg.native_htm
     }
 
     /// Allocate a transactional object.

@@ -78,7 +78,7 @@ pub use adt::{AdtOpDesc, AdtOpKind};
 pub use builder::{BackendKind, NzBuilder};
 pub use data::{FieldWord, TmData, WordArray};
 pub use engine::{
-    Blocking, ModePolicy, NativeHtmPolicy, Nonblocking, NorecMode, NzConfig, NzStm, NzTx,
+    Blocking, ModePolicy, Nonblocking, NorecMode, NzConfig, NzStm, NzTx,
     ReadMode, ScssMode, TraceConfig,
 };
 pub use object::{NZObject, NzObjAny, WordBuf};

@@ -80,8 +80,7 @@ pub struct TmStats {
     /// Hardware aborts attributed to capacity/resource exhaustion (CPS).
     pub htm_capacity_aborts: u64,
     /// Hardware aborts the transaction requested itself (§2.4's
-    /// self-abort on observing a live software transaction; `xabort` on
-    /// the native RTM path).
+    /// self-abort on observing a live software transaction).
     pub htm_explicit_aborts: u64,
     /// Hardware aborts for other reasons (TLB miss, interrupt, ...).
     pub htm_other_aborts: u64,

@@ -66,10 +66,8 @@ pub enum EventKind {
     HtmAttempt = 9,
     /// The hardware attempt committed. `a` = attempt index.
     HtmCommit = 10,
-    /// The hardware attempt aborted. `a` = attempt index; `b` bits 7:0 =
-    /// CPS reason class (0 conflict, 1 capacity, 2 other, 3 explicit),
-    /// bits 39:8 = the backend's raw abort status word (native RTM
-    /// `_xbegin` status; 0 on the simulated model).
+    /// The hardware attempt aborted. `a` = attempt index; `b` = CPS
+    /// reason class (0 conflict, 1 capacity, 2 other, 3 explicit).
     HtmAbort = 11,
     /// The hybrid gave up on hardware and fell back to software. `a` =
     /// hardware attempts consumed.
@@ -189,18 +187,13 @@ impl TraceEvent {
             EventKind::HtmAttempt => format!("htm attempt {}", self.a),
             EventKind::HtmCommit => format!("htm commit (attempt {})", self.a),
             EventKind::HtmAbort => {
-                let why = match self.b & 0xff {
+                let why = match self.b {
                     0 => "conflict",
                     1 => "capacity",
                     2 => "other",
                     _ => "explicit",
                 };
-                let raw = (self.b >> 8) as u32;
-                if raw == 0 {
-                    format!("htm abort (attempt {}, {why})", self.a)
-                } else {
-                    format!("htm abort (attempt {}, {why}, rtm status {raw:#x})", self.a)
-                }
+                format!("htm abort (attempt {}, {why})", self.a)
             }
             EventKind::HtmFallback => {
                 format!("falls back to software after {} hw attempts", self.a)
