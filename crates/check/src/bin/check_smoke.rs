@@ -201,8 +201,10 @@ fn main() {
                 explore_exhaustive(b, 4, 60)
             });
         }
+        // Yield points sit on the NZ engine's protocol edges; NOrec has
+        // none, so its stage would repeat its exhaustive transfer stage.
         #[cfg(feature = "sanitize")]
-        {
+        if backend != Backend::Norec {
             let mut yp = CheckConfig::transfer(backend);
             yp.yield_points = true;
             c.stage(&format!("{name} yield-point exhaustive"), &yp, |b| {

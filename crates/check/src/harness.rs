@@ -8,7 +8,8 @@
 
 use nztm_core::cm::{Aggressive, ContentionManager, Greedy, KarmaDeadlock, Polite, Timestamp};
 use nztm_core::{
-    Blocking, ModePolicy, Nonblocking, NorecMode, NzConfig, NzStm, ScssMode, TmStats, TmSys,
+    Blocking, ModePolicy, NZObject, Nonblocking, NzBuilder, NzConfig, NzStm, ScssMode, TmStats,
+    TmSys,
 };
 use nztm_htm::{AtmtpConfig, BestEffortHtm, HybridConfig, NztmHybrid};
 use nztm_sim::sync::Mutex;
@@ -362,16 +363,6 @@ pub fn run_config(cfg: &CheckConfig) -> RunOutcome {
         "config needs fault injection / pause schedules / protocol-edge yield \
          points: rebuild nztm-check with --features sanitize"
     );
-    match cfg.backend {
-        Backend::Bzstm => run_on_mode::<Blocking>(cfg),
-        Backend::Nzstm => run_on_mode::<Nonblocking>(cfg),
-        Backend::Scss => run_on_mode::<ScssMode>(cfg),
-        Backend::Hybrid => run_hybrid(cfg),
-        Backend::Norec => run_on_mode::<NorecMode>(cfg),
-    }
-}
-
-fn new_machine(cfg: &CheckConfig) -> (Arc<Machine>, Arc<SimPlatform>) {
     let machine = Machine::new(MachineConfig {
         max_cycles: cfg.max_cycles,
         hw_cores: cfg.hw_cores,
@@ -380,21 +371,36 @@ fn new_machine(cfg: &CheckConfig) -> (Arc<Machine>, Arc<SimPlatform>) {
     machine.set_policy(cfg.policy.clone());
     machine.enable_decisions();
     let platform = SimPlatform::new(Arc::clone(&machine));
-    (machine, platform)
+    match cfg.backend {
+        Backend::Bzstm => run_on_mode::<Blocking>(cfg, &machine, &platform),
+        Backend::Nzstm => run_on_mode::<Nonblocking>(cfg, &machine, &platform),
+        Backend::Scss => run_on_mode::<ScssMode>(cfg, &machine, &platform),
+        Backend::Hybrid => {
+            let stm = nz_engine::<Nonblocking>(cfg, &platform);
+            let htm = BestEffortHtm::new(Arc::clone(&platform), AtmtpConfig::default());
+            htm.install();
+            let hybrid = NztmHybrid::new(Arc::clone(&stm), Arc::clone(&htm), HybridConfig::default());
+            let out = run_system(cfg, &machine, &platform, &hybrid, None, || collect_violations(&stm));
+            htm.uninstall();
+            out
+        }
+        Backend::Norec => {
+            let norec = NzBuilder::new(Arc::clone(&platform)).build_norec();
+            run_system(cfg, &machine, &platform, &norec, None, Vec::new)
+        }
+    }
 }
 
-fn nz_config(cfg: &CheckConfig) -> NzConfig {
+/// An NZ engine for `cfg`, with its sanitizer armed as the config asks.
+fn nz_engine<M: ModePolicy>(cfg: &CheckConfig, platform: &Arc<SimPlatform>) -> Arc<NzStm<SimPlatform, M>> {
     #[cfg_attr(not(feature = "sanitize"), allow(unused_mut))]
     let mut nzc = NzConfig { patience: cfg.patience, ..NzConfig::default() };
     #[cfg(feature = "sanitize")]
     {
         nzc.inject_handshake_bug = cfg.inject_handshake_bug;
     }
-    nzc
-}
-
-#[cfg(feature = "sanitize")]
-fn arm_sanitizer<P: nztm_sim::Platform, M: ModePolicy>(stm: &NzStm<P, M>, cfg: &CheckConfig) {
+    let stm = NzStm::new(Arc::clone(platform), cfg.cm.build(), nzc);
+    #[cfg(feature = "sanitize")]
     if let Some((seed, max_pause)) = cfg.pause {
         stm.sanitizer().set_schedule(seed, max_pause);
     } else if cfg.yield_points || cfg.inject_handshake_bug {
@@ -402,6 +408,7 @@ fn arm_sanitizer<P: nztm_sim::Platform, M: ModePolicy>(stm: &NzStm<P, M>, cfg: &
         // scheduling decision (see NzStm::san_point).
         stm.sanitizer().set_schedule(cfg.seed, 0);
     }
+    stm
 }
 
 #[cfg(feature = "sanitize")]
@@ -738,12 +745,12 @@ fn tds_bodies<S: TmSys>(
 /// acquisitions held forever, then retires.
 fn crash_body<M: ModePolicy>(
     stm: Arc<NzStm<SimPlatform, M>>,
-    objs: Arc<Vec<std::sync::Arc<nztm_core::NZObject<u64>>>>,
+    objs: WordObjs,
     log: Arc<HistoryLog>,
     done: Arc<AtomicUsize>,
     cfg: CheckConfig,
     tid: usize,
-) -> Box<dyn FnOnce() + Send> {
+) -> Body {
     Box::new(move || {
         let mut rng = DetRng::new(cfg.seed).split(tid as u64);
         let n = objs.len();
@@ -803,75 +810,56 @@ fn run_bodies(machine: &Arc<Machine>, bodies: Vec<Box<dyn FnOnce() + Send>>) -> 
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn outcome(
-    machine: &Arc<Machine>,
-    log: &HistoryLog,
-    finals: &Mutex<Vec<u64>>,
-    stats: TmStats,
-    violations: Vec<String>,
-    watchdog: bool,
-    mut trace: nztm_core::Trace,
-    obj_addrs: Vec<u64>,
-) -> RunOutcome {
-    let (ops, crashed_ops) = complete_ops(&log.events());
-    let decisions = machine.decisions().unwrap_or_default();
-    if !trace.is_empty() {
-        // Decision clocks live in the same logical-cycle domain as the
-        // engine events, so the scheduler timeline interleaves exactly.
-        trace.merge_schedule(decisions.iter().map(|d| (d.clock, d.chosen)));
-    }
-    RunOutcome {
-        ops,
-        crashed_ops,
-        decisions,
-        final_values: finals.lock().clone(),
-        stats,
-        violations,
-        watchdog,
-        trace,
-        obj_addrs,
-    }
+type Body = Box<dyn FnOnce() + Send>;
+type WordObjs = Arc<Vec<Arc<NZObject<u64>>>>;
+/// Builds thread `tid`'s crash body over the run's word objects, history
+/// log and done counter (NZ engines only; see `crash_body`).
+type CrashBodies<'a> = &'a dyn Fn(usize, &WordObjs, &Arc<HistoryLog>, &Arc<AtomicUsize>) -> Body;
+
+fn run_on_mode<M: ModePolicy>(cfg: &CheckConfig, machine: &Arc<Machine>, platform: &Arc<SimPlatform>) -> RunOutcome {
+    let stm = nz_engine::<M>(cfg, platform);
+    let crash = |tid: usize, objs: &WordObjs, log: &Arc<HistoryLog>, done: &Arc<AtomicUsize>| {
+        crash_body(Arc::clone(&stm), Arc::clone(objs), Arc::clone(log), Arc::clone(done), cfg.clone(), tid)
+    };
+    run_system(cfg, machine, platform, &stm, Some(&crash), || collect_violations(&stm))
 }
 
-fn run_on_mode<M: ModePolicy>(cfg: &CheckConfig) -> RunOutcome {
-    let (machine, platform) = new_machine(cfg);
-    let stm: Arc<NzStm<SimPlatform, M>> =
-        NzStm::new(Arc::clone(&platform), cfg.cm.build(), nz_config(cfg));
-    #[cfg(feature = "sanitize")]
-    arm_sanitizer(&stm, cfg);
+/// The one runner: allocate the workload on `sys`, run every thread's
+/// body, and collect the outcome. The caller supplies what only the NZ
+/// engines have: crash bodies, and the sanitizer's violations.
+fn run_system<S: TmSys<Obj<u64> = Arc<NZObject<u64>>>>(
+    cfg: &CheckConfig,
+    machine: &Arc<Machine>,
+    platform: &Arc<SimPlatform>,
+    sys: &Arc<S>,
+    crash: Option<CrashBodies<'_>>,
+    violations: impl FnOnce() -> Vec<String>,
+) -> RunOutcome {
     let init = match cfg.workload {
         Workload::Transfer => cfg.initial,
         _ => 0,
     };
     // tds workloads allocate their structure's objects themselves.
     let n_word_objs = if cfg.workload.is_tds() { 0 } else { cfg.objects };
-    let objs = Arc::new((0..n_word_objs).map(|_| stm.new_obj(init)).collect::<Vec<_>>());
+    let objs: WordObjs = Arc::new((0..n_word_objs).map(|_| sys.alloc(init)).collect());
     let obj_addrs: Vec<u64> = objs.iter().map(|o| o.header().addr() as u64).collect();
     if cfg.trace {
-        stm.set_tracing(true);
+        sys.set_tracing(true);
     }
     let log = Arc::new(HistoryLog::new());
     let done = Arc::new(AtomicUsize::new(0));
     let finals = Arc::new(Mutex::new(Vec::new()));
-    let bodies: Vec<Box<dyn FnOnce() + Send>> = if cfg.workload.is_tds() {
-        tds_bodies(&stm, &platform, cfg, &log, &done, &finals)
+    let bodies: Vec<Body> = if cfg.workload.is_tds() {
+        tds_bodies(sys, platform, cfg, &log, &done, &finals)
     } else {
         (0..cfg.threads)
-            .map(|tid| {
-                if cfg.crash_tid == Some(tid) {
-                    crash_body(
-                        Arc::clone(&stm),
-                        Arc::clone(&objs),
-                        Arc::clone(&log),
-                        Arc::clone(&done),
-                        cfg.clone(),
-                        tid,
-                    )
-                } else {
+            .map(|tid| match crash {
+                Some(crash) if cfg.crash_tid == Some(tid) => crash(tid, &objs, &log, &done),
+                _ => {
+                    assert_ne!(cfg.crash_tid, Some(tid), "crash bodies need an NZ engine");
                     worker_body(
-                        Arc::clone(&stm),
-                        Arc::clone(&platform),
+                        Arc::clone(sys),
+                        Arc::clone(platform),
                         Arc::clone(&objs),
                         Arc::clone(&log),
                         Arc::clone(&done),
@@ -883,76 +871,25 @@ fn run_on_mode<M: ModePolicy>(cfg: &CheckConfig) -> RunOutcome {
             })
             .collect()
     };
-    let watchdog = run_bodies(&machine, bodies);
-    let trace = if cfg.trace { stm.take_trace() } else { nztm_core::Trace::default() };
-    outcome(
-        &machine,
-        &log,
-        &finals,
-        stm.stats_snapshot(),
-        collect_violations(&stm),
-        watchdog,
-        trace,
-        obj_addrs,
-    )
-}
-
-fn run_hybrid(cfg: &CheckConfig) -> RunOutcome {
-    assert!(cfg.crash_tid.is_none(), "crash bodies are NzStm-specific");
-    let (machine, platform) = new_machine(cfg);
-    let stm = NzStm::<SimPlatform, Nonblocking>::new(
-        Arc::clone(&platform),
-        cfg.cm.build(),
-        nz_config(cfg),
-    );
-    #[cfg(feature = "sanitize")]
-    arm_sanitizer(&stm, cfg);
-    let htm = BestEffortHtm::new(Arc::clone(&platform), AtmtpConfig::default());
-    htm.install();
-    let hybrid = NztmHybrid::new(Arc::clone(&stm), Arc::clone(&htm), HybridConfig::default());
-    let init = match cfg.workload {
-        Workload::Transfer => cfg.initial,
-        _ => 0,
-    };
-    let n_word_objs = if cfg.workload.is_tds() { 0 } else { cfg.objects };
-    let objs = Arc::new((0..n_word_objs).map(|_| hybrid.alloc(init)).collect::<Vec<_>>());
-    let obj_addrs: Vec<u64> = objs.iter().map(|o| o.header().addr() as u64).collect();
-    if cfg.trace {
-        hybrid.set_tracing(true);
+    let watchdog = run_bodies(machine, bodies);
+    let mut trace = if cfg.trace { sys.take_trace() } else { nztm_core::Trace::default() };
+    let (ops, crashed_ops) = complete_ops(&log.events());
+    let decisions = machine.decisions().unwrap_or_default();
+    if !trace.is_empty() {
+        // Decision clocks live in the same logical-cycle domain as the
+        // engine events, so the scheduler timeline interleaves exactly.
+        trace.merge_schedule(decisions.iter().map(|d| (d.clock, d.chosen)));
     }
-    let log = Arc::new(HistoryLog::new());
-    let done = Arc::new(AtomicUsize::new(0));
-    let finals = Arc::new(Mutex::new(Vec::new()));
-    let bodies: Vec<Box<dyn FnOnce() + Send>> = if cfg.workload.is_tds() {
-        tds_bodies(&hybrid, &platform, cfg, &log, &done, &finals)
-    } else {
-        (0..cfg.threads)
-            .map(|tid| {
-                worker_body(
-                    Arc::clone(&hybrid),
-                    Arc::clone(&platform),
-                    Arc::clone(&objs),
-                    Arc::clone(&log),
-                    Arc::clone(&done),
-                    Arc::clone(&finals),
-                    cfg.clone(),
-                    tid,
-                )
-            })
-            .collect()
-    };
-    let watchdog = run_bodies(&machine, bodies);
-    let trace = if cfg.trace { hybrid.take_trace() } else { nztm_core::Trace::default() };
-    let out = outcome(
-        &machine,
-        &log,
-        &finals,
-        hybrid.stats_snapshot(),
-        collect_violations(&stm),
+    let final_values = finals.lock().clone();
+    RunOutcome {
+        ops,
+        crashed_ops,
+        decisions,
+        final_values,
+        stats: sys.stats_snapshot(),
+        violations: violations(),
         watchdog,
         trace,
         obj_addrs,
-    );
-    htm.uninstall();
-    out
+    }
 }

@@ -66,8 +66,8 @@ pub struct NztmHybrid {
     /// single-writer atomics, so snapshots need no quiescence.
     stats: Box<[ThreadStats]>,
     /// Flight-recorder rings for hardware-path events (the software
-    /// fallback records into the embedded STM's own rings). Armed and
-    /// sized together with the STM's recorder.
+    /// fallback records into the embedded STM's own rings). Armed
+    /// together with the STM's recorder.
     rings: nztm_core::util::PerCore<nztm_core::trace::TraceRing>,
 }
 
@@ -83,7 +83,6 @@ impl NztmHybrid {
         assert_visible_reads(stm.read_mode());
         let platform = Arc::clone(stm.platform());
         let n = platform.n_cores();
-        let trace_capacity = stm.trace_capacity();
         Arc::new(NztmHybrid {
             stm,
             htm,
@@ -91,7 +90,7 @@ impl NztmHybrid {
             cfg,
             stats: (0..n).map(|_| ThreadStats::default()).collect(),
             rings: nztm_core::util::PerCore::new(n, |_| {
-                nztm_core::trace::TraceRing::new(trace_capacity)
+                nztm_core::trace::TraceRing::new(nztm_core::trace::RING_CAPACITY)
             }),
         })
     }
@@ -424,42 +423,6 @@ mod tests {
         let st = hy.stats_snapshot();
         assert_eq!(st.htm_commits, 50, "all hardware, no fallback: {st:?}");
         assert_eq!(st.fallbacks, 0);
-        hy.htm().uninstall();
-    }
-
-    /// The hardware-path rings take their size from the engine's
-    /// `TraceConfig`: 100 hardware commits record 200 events into a
-    /// 16-event ring, so the oldest are overwritten.
-    #[test]
-    fn hardware_rings_honour_the_trace_capacity() {
-        let m = Machine::new(MachineConfig::paper(1));
-        let p = SimPlatform::new(Arc::clone(&m));
-        let trace = nztm_core::TraceConfig { enabled: true, capacity: 16 };
-        let stm = Nzstm::new(
-            Arc::clone(&p),
-            Arc::new(KarmaDeadlock::default()),
-            NzConfig { trace, ..NzConfig::default() },
-        );
-        let htm = BestEffortHtm::new(
-            Arc::clone(&p),
-            AtmtpConfig { spurious_num: 0, ..AtmtpConfig::default() },
-        );
-        htm.install();
-        let hy = NztmHybrid::new(stm, htm, HybridConfig::default());
-        let o = hy.alloc(0u64);
-        let (h2, o2) = (Arc::clone(&hy), Arc::clone(&o));
-        m.run(vec![Box::new(move || {
-            for _ in 0..100 {
-                h2.execute(|tx| {
-                    let v = NztmHybrid::read(tx, &o2)?;
-                    NztmHybrid::write(tx, &o2, &(v + 1))
-                });
-            }
-        })]);
-        assert_eq!(hy.stats_snapshot().htm_commits, 100);
-        let t = hy.take_trace();
-        assert_eq!(t.events.len(), 16, "one full 16-event ring");
-        assert!(t.overwritten > 0, "a 16-event ring overflowed: {}", t.overwritten);
         hy.htm().uninstall();
     }
 

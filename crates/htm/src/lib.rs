@@ -37,10 +37,8 @@ pub mod besteffort;
 pub mod cps;
 pub mod hybrid;
 pub mod logtm;
-pub mod signatures;
 
 pub use besteffort::{AtmtpConfig, BestEffortHtm, HwAbort, HwTxn};
 pub use cps::CpsReason;
 pub use hybrid::{HybridConfig, HybridTx, NztmHybrid};
 pub use logtm::{LogObject, LogTmSe};
-pub use signatures::{Signature, SignatureKind};

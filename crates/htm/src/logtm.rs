@@ -19,7 +19,6 @@
 //! Unlike the best-effort HTM, nothing here is bounded: no capacity
 //! aborts, no environmental aborts — the paper's idealized comparator.
 
-use crate::signatures::{Signature, SignatureKind};
 use nztm_core::data::{snapshot_words, write_words, TmData, WordArray};
 use nztm_core::stats::{ThreadStats, TmStats};
 use nztm_core::txn::Abort;
@@ -92,10 +91,12 @@ struct CoreShared {
     doomed: AtomicU64,
 }
 
-/// Per-core read/write signatures, shared for cross-core checking.
+/// Per-core read/write line sets (perfect filters), shared for
+/// cross-core checking.
+#[derive(Default)]
 struct SigPair {
-    read: Signature,
-    write: Signature,
+    read: HashSet<u64>,
+    write: HashSet<u64>,
 }
 
 /// The LogTM-SE device, usable directly as a [`TmSys`].
@@ -109,26 +110,15 @@ pub struct LogTmSe {
     /// Single-writer per-core counters, readable without quiescence.
     stats: Box<[ThreadStats]>,
     ts_counter: AtomicU64,
-    kind: SignatureKind,
 }
 
 impl LogTmSe {
     /// Perfect filters — the paper's upper-bound configuration (§4.3).
     pub fn new(platform: Arc<SimPlatform>) -> Arc<Self> {
-        Self::with_signatures(platform, SignatureKind::Perfect)
-    }
-
-    /// Choose the signature implementation (Bloom for the ablation that
-    /// quantifies what realizable hardware loses to false conflicts).
-    pub fn with_signatures(platform: Arc<SimPlatform>, kind: SignatureKind) -> Arc<Self> {
         let n = platform.n_cores();
         Arc::new(LogTmSe {
             platform,
-            sigs: Mutex::new(
-                (0..n)
-                    .map(|_| SigPair { read: Signature::new(kind), write: Signature::new(kind) })
-                    .collect(),
-            ),
+            sigs: Mutex::new((0..n).map(|_| SigPair::default()).collect()),
             shared: (0..n)
                 .map(|_| CoreShared {
                     ts: AtomicU64::new(0),
@@ -139,13 +129,7 @@ impl LogTmSe {
             cores: PerCore::new(n, CoreTxn::new),
             stats: (0..n).map(|_| ThreadStats::default()).collect(),
             ts_counter: AtomicU64::new(1),
-            kind,
         })
-    }
-
-    /// The signature configuration in use.
-    pub fn signature_kind(&self) -> SignatureKind {
-        self.kind
     }
 
     pub fn machine(&self) -> &Arc<Machine> {
@@ -175,8 +159,8 @@ impl LogTmSe {
                     if c == core || self.shared[c].ts.load(Ordering::SeqCst) == 0 {
                         continue;
                     }
-                    let hit = pair.write.maybe_contains(line)
-                        || (is_write && pair.read.maybe_contains(line));
+                    let hit = pair.write.contains(&line)
+                        || (is_write && pair.read.contains(&line));
                     if hit {
                         conflicters |= 1 << c;
                     }
@@ -532,10 +516,9 @@ mod tests {
 #[cfg(test)]
 mod signature_ablation_tests {
     use super::*;
-    use crate::signatures::SignatureKind;
     use nztm_sim::{CacheConfig, CostModel, MachineConfig};
 
-    fn run_counter_workload(kind: SignatureKind) -> (u64, u64) {
+    fn run_counter_workload() -> u64 {
         let m = Machine::new(MachineConfig {
             n_cores: 4,
             hw_cores: 0,
@@ -545,9 +528,8 @@ mod signature_ablation_tests {
             max_cycles: 2_000_000_000,
         });
         let p = SimPlatform::new(Arc::clone(&m));
-        let l = LogTmSe::with_signatures(p, kind);
-        // Disjoint objects per core: perfect filters see zero conflicts;
-        // a tiny Bloom filter manufactures false ones.
+        let l = LogTmSe::new(p);
+        // Disjoint objects per core: perfect filters see zero conflicts.
         let objs: Vec<Vec<_>> =
             (0..4).map(|c| (0..32).map(|i| l.alloc((c * 100 + i) as u64)).collect()).collect();
         let objs = Arc::new(objs);
@@ -569,46 +551,19 @@ mod signature_ablation_tests {
                 }) as Box<dyn FnOnce() + Send>
             })
             .collect();
-        let r = m.run(bodies);
-        let st = l.stats_snapshot();
-        // Correctness regardless of signature kind.
+        m.run(bodies);
+        // Every increment landed.
         for (c, per_core) in objs.iter().enumerate() {
             for (i, o) in per_core.iter().enumerate() {
                 assert_eq!(o.read_untracked(), (c * 100 + i) as u64 + 30);
             }
         }
-        (r.makespan, st.wait_steps)
+        l.stats_snapshot().wait_steps
     }
 
     #[test]
     fn perfect_filters_see_no_conflicts_on_disjoint_sets() {
-        let (_, waits) = run_counter_workload(SignatureKind::Perfect);
+        let waits = run_counter_workload();
         assert_eq!(waits, 0, "disjoint write sets cannot conflict under perfect filters");
-    }
-
-    #[test]
-    fn tiny_bloom_filters_manufacture_false_conflicts() {
-        // 64-bit filters with 32-line write sets are saturated: nearly
-        // every cross-core check is a (false) hit.
-        let (bloom_makespan, bloom_waits) =
-            run_counter_workload(SignatureKind::Bloom { bits: 64, hashes: 2 });
-        let (perfect_makespan, _) = run_counter_workload(SignatureKind::Perfect);
-        assert!(bloom_waits > 0, "saturated Bloom signatures must stall on false conflicts");
-        assert!(
-            bloom_makespan > perfect_makespan,
-            "false conflicts must cost cycles: bloom={bloom_makespan} perfect={perfect_makespan}"
-        );
-    }
-
-    #[test]
-    fn realistic_bloom_is_close_to_perfect_here() {
-        // 2048-bit/4-hash signatures with 32-line sets: FP rate ~2%, so
-        // the makespan should sit within a modest factor of perfect.
-        let (bloom_makespan, _) = run_counter_workload(SignatureKind::realistic_bloom());
-        let (perfect_makespan, _) = run_counter_workload(SignatureKind::Perfect);
-        assert!(
-            (bloom_makespan as f64) < perfect_makespan as f64 * 1.5,
-            "realistic signatures should be near-perfect on small sets: bloom={bloom_makespan} perfect={perfect_makespan}"
-        );
     }
 }

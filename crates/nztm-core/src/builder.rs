@@ -1,14 +1,15 @@
 //! [`NzBuilder`]: one front door for constructing engines.
 //!
 //! Start from the paper's defaults, override the few knobs harnesses
-//! vary (read mode, contention manager, native-HTM policy), and pick
+//! vary (read mode, contention manager), and pick
 //! the mode with a `build_*` shorthand or [`NzBuilder::build`]`::<M>`.
 //! Everything else is set by handing an [`NzConfig`] to
 //! [`NzStm::new`] directly.
 //!
 //! Engines are concrete types (`Arc<NzStm<P, M>>`, never `Arc<dyn …>`),
 //! so the compile-time [`ModePolicy`] specialization the paper's §4.4.2
-//! measurements depend on is preserved.
+//! measurements depend on is preserved. [`NzBuilder::build_norec`] builds
+//! the separate [`Norec`] system, which takes none of the knobs.
 //!
 //! ```
 //! use nztm_core::{NzBuilder, ReadMode};
@@ -28,10 +29,8 @@
 //! can enumerate all five backends uniformly.
 
 use crate::cm::{ContentionManager, KarmaDeadlock};
-use crate::engine::{
-    Blocking, ModePolicy, Nonblocking, NorecMode, NzConfig, NzStm, ReadMode,
-    ScssMode,
-};
+use crate::engine::{Blocking, ModePolicy, Nonblocking, NzConfig, NzStm, ReadMode, ScssMode};
+use crate::norec::Norec;
 use nztm_sim::Platform;
 use std::sync::Arc;
 
@@ -148,15 +147,19 @@ impl<P: Platform> NzBuilder<P> {
         self.build()
     }
 
-    /// Build NOrec (value validation + redo log + global seqlock).
-    pub fn build_norec(self) -> Arc<NzStm<P, NorecMode>> {
-        self.build()
+    /// Build NOrec (value validation + redo log + global seqlock). It
+    /// ignores the contention manager, read mode and patience: it has no
+    /// conflicts to manage, tracks reads by value and never waits on an
+    /// owner.
+    pub fn build_norec(self) -> Arc<Norec<P>> {
+        Norec::new(self.platform)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TmSys;
     use nztm_sim::Native;
 
     #[test]
@@ -180,7 +183,7 @@ mod tests {
         assert_eq!(b.mode_name(), "BZSTM");
         assert_eq!(n.mode_name(), "NZSTM");
         assert_eq!(s.mode_name(), "SCSS");
-        assert_eq!(r.mode_name(), "NOREC");
+        assert_eq!(r.name(), "NOREC");
         let obj = n.new_obj(41u64);
         n.run(|tx| {
             let v = tx.read(&obj)?;

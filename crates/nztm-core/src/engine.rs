@@ -30,7 +30,7 @@ use crate::locator::Locator;
 use crate::object::{NZHeader, NZObject, NzObjAny, OwnerRef, WordBuf};
 use crate::registry::ThreadRegistry;
 use crate::stats::{ThreadStats, TmStats};
-use crate::trace::Trace;
+use crate::trace::{trace_evt, Trace};
 use crate::txn::{Abort, AbortCause, Status, TxnDesc};
 use crate::util::{Backoff, InlineVec, PerCore, SlotIndex};
 use nztm_epoch::Guard;
@@ -38,35 +38,17 @@ use nztm_sim::{AccessKind, DetRng, Platform};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// Record a flight-recorder event ([`crate::trace`]). Recording requires
-/// runtime arming ([`NzStm::set_tracing`]) and costs one relaxed load
-/// when disarmed. The payload expressions are not evaluated unless armed.
-macro_rules! trace_evt {
-    ($sys:expr, $ctx:expr, $tid:expr, $kind:ident, $a:expr, $b:expr) => {{
-        if $sys.trace_on.load(std::sync::atomic::Ordering::Relaxed) {
-            let clock = $sys.platform.now();
-            $ctx.ring.record(clock, $tid as u16, crate::trace::EventKind::$kind, $a, $b);
-        }
-    }};
-}
-
 /// Compile-time selection of the engine variant.
 ///
 /// The engine gates code paths on these `const`s, so a mode that does
 /// not use a path compiles it away entirely — BZSTM really contains no
-/// inflation-tag checks (§4.4.2's 2–5%), and the ownership modes really
-/// contain no global-clock traffic.
+/// inflation-tag checks (§4.4.2's 2–5%).
 pub trait ModePolicy: Send + Sync + 'static {
     /// Give up waiting for an abort acknowledgement after `patience`
     /// steps (inflate / SCSS-barrier). `false` = BZSTM.
     const NONBLOCKING: bool;
     /// Pair every data store with an AbortNowPlease check (SCSS).
     const SCSS: bool;
-    /// Master gate for the NOrec path: value-validated reads, redo log
-    /// and global sequence lock travel together (a global-clock commit
-    /// is only sound when nothing is dirtied in place and reads
-    /// revalidate by value), so one discriminator selects the whole path.
-    const NOREC: bool;
     const NAME: &'static str;
 }
 
@@ -75,7 +57,6 @@ pub struct Blocking;
 impl ModePolicy for Blocking {
     const NONBLOCKING: bool = false;
     const SCSS: bool = false;
-    const NOREC: bool = false;
     const NAME: &'static str = "BZSTM";
 }
 
@@ -84,7 +65,6 @@ pub struct Nonblocking;
 impl ModePolicy for Nonblocking {
     const NONBLOCKING: bool = true;
     const SCSS: bool = false;
-    const NOREC: bool = false;
     const NAME: &'static str = "NZSTM";
 }
 
@@ -93,25 +73,7 @@ pub struct ScssMode;
 impl ModePolicy for ScssMode {
     const NONBLOCKING: bool = true;
     const SCSS: bool = true;
-    const NOREC: bool = false;
     const NAME: &'static str = "SCSS";
-}
-
-/// NOrec: one global sequence lock, value-based validation, lazy redo
-/// writes (Dalessandro, Spear & Scott, PPoPP 2010) — the progressive,
-/// ownership-free point in the design space, run by the same engine as
-/// the NZTM family. Blocking (a preempted committer stalls the clock),
-/// but with no per-object metadata traffic at all: reads log values,
-/// writes buffer in a redo log, and the only shared-write beyond data
-/// itself is the clock CAS at commit.
-pub struct NorecMode;
-impl ModePolicy for NorecMode {
-    // Ownership-protocol knobs; never consulted on the NOrec path (which
-    // bypasses owner words, inflation, and SCSS stores entirely).
-    const NONBLOCKING: bool = false;
-    const SCSS: bool = false;
-    const NOREC: bool = true;
-    const NAME: &'static str = "NOREC";
 }
 
 /// How transactional reads are tracked.
@@ -125,23 +87,6 @@ pub enum ReadMode {
     Invisible,
 }
 
-/// Flight-recorder knobs (see [`crate::trace`]).
-#[derive(Clone, Debug)]
-pub struct TraceConfig {
-    /// Arm event recording at construction. Can be toggled later via
-    /// [`NzStm::set_tracing`].
-    pub enabled: bool,
-    /// Per-thread ring capacity in events (overwrite-oldest beyond this).
-    /// A ring reserves memory only as it records.
-    pub capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig { enabled: false, capacity: 1 << 16 }
-    }
-}
-
 /// Engine tuning knobs.
 #[derive(Clone, Debug)]
 pub struct NzConfig {
@@ -149,11 +94,6 @@ pub struct NzConfig {
     /// the victim unresponsive (ignored by `Blocking`).
     pub patience: u64,
     pub read_mode: ReadMode,
-    /// Extra cycles charged per SCSS store on simulated platforms (models
-    /// the short hardware transaction's latency).
-    pub scss_cycles: u64,
-    /// Flight-recorder configuration.
-    pub trace: TraceConfig,
     /// TEST-ONLY fault injection (`sanitize` builds): requesters force
     /// the victim's `Status = Aborted` instead of waiting for the
     /// acknowledgement — the §2.2 handshake violation the sanitizer
@@ -167,13 +107,15 @@ impl Default for NzConfig {
         NzConfig {
             patience: 128,
             read_mode: ReadMode::Visible,
-            scss_cycles: 25,
-            trace: TraceConfig::default(),
             #[cfg(feature = "sanitize")]
             inject_handshake_bug: false,
         }
     }
 }
+
+/// Extra cycles charged per SCSS store on simulated platforms (models the
+/// short hardware transaction's latency).
+const SCSS_CYCLES: u64 = 25;
 
 /// Where a write-set entry's speculative data lives.
 enum WriteTarget {
@@ -183,10 +125,6 @@ enum WriteTarget {
     /// Object is inflated and we own it through this locator; writes go
     /// to its `new_data`.
     Inflated { loc: Arc<Locator> },
-    /// NOrec redo-log entry: the speculative value lives at
-    /// `norec_redo[off..off + len]` and is written back at commit under
-    /// the global sequence lock. Never constructed by ownership modes.
-    Buffered { off: usize, len: usize },
 }
 
 struct WriteEntry {
@@ -196,24 +134,8 @@ struct WriteEntry {
 
 struct ReadEntry {
     obj: Arc<dyn NzObjAny>,
-    /// Version observed (invisible mode); unused in visible mode. NOrec
-    /// repurposes it as the packed `(off << 32) | len` slice of
-    /// `norec_vals` holding this entry's logged values
-    /// ([`norec_pack`]/[`norec_unpack`]).
+    /// Version observed (invisible mode); unused in visible mode.
     version: u64,
-}
-
-/// Pack a NOrec read-log slice descriptor into a `ReadEntry::version`.
-#[inline]
-fn norec_pack(off: usize, len: usize) -> u64 {
-    debug_assert!(off <= u32::MAX as usize && len <= u32::MAX as usize);
-    ((off as u64) << 32) | len as u64
-}
-
-/// Inverse of [`norec_pack`].
-#[inline]
-fn norec_unpack(version: u64) -> (usize, usize) {
-    ((version >> 32) as usize, (version & 0xFFFF_FFFF) as usize)
 }
 
 /// Per-thread pool of backup buffers in power-of-two **size classes**
@@ -310,15 +232,6 @@ struct ThreadCtx {
     stats: Arc<ThreadStats>,
     /// Scratch encode/decode buffer, reused across operations.
     scratch: Vec<u64>,
-    /// NOrec only: the global-clock value this attempt last validated
-    /// against (always even). Dead (and never touched) in other modes.
-    snapshot: u64,
-    /// NOrec only: logged read values. Entry `i` of the read set owns
-    /// the slice packed into its `version` ([`norec_pack`]).
-    norec_vals: Vec<u64>,
-    /// NOrec only: redo-log value words, sliced by the write set's
-    /// [`WriteTarget::Buffered`] entries.
-    norec_redo: Vec<u64>,
     /// Flight-recorder ring (single-writer; drained quiescently).
     ring: crate::trace::TraceRing,
     /// Per-thread sanitizer pause stream, keyed by the schedule
@@ -328,7 +241,7 @@ struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    fn new(tid: usize, stats: Arc<ThreadStats>, trace_capacity: usize) -> Self {
+    fn new(tid: usize, stats: Arc<ThreadStats>) -> Self {
         ThreadCtx {
             current: None,
             serial: 0,
@@ -341,10 +254,7 @@ impl ThreadCtx {
             backoff: Backoff::new(),
             stats,
             scratch: Vec::with_capacity(64),
-            snapshot: 0,
-            norec_vals: Vec::new(),
-            norec_redo: Vec::new(),
-            ring: crate::trace::TraceRing::new(trace_capacity),
+            ring: crate::trace::TraceRing::new(crate::trace::RING_CAPACITY),
             #[cfg(feature = "sanitize")]
             san_rng: None,
         }
@@ -354,7 +264,7 @@ impl ThreadCtx {
 /// Index key for the access-set maps: the header's host address (stable
 /// while any set entry holds the object's `Arc`).
 #[inline]
-fn header_key(h: &NZHeader) -> u64 {
+pub(crate) fn header_key(h: &NZHeader) -> u64 {
     h as *const NZHeader as u64
 }
 
@@ -365,26 +275,6 @@ fn push_write(ctx: &mut ThreadCtx, entry: WriteEntry) {
     let key = header_key(entry.obj.header());
     ctx.write_index.insert(key, ctx.write_set.len() as u32);
     ctx.write_set.push(entry);
-}
-
-/// NOrec's global sequence lock, on its own cache line (every committer
-/// writes it; every reader polls it — the one genuinely global word of
-/// that mode). Even = unlocked (the value doubles as the snapshot
-/// clock); odd = a writer is inside its commit write-back window.
-#[repr(align(128))]
-struct NorecClock {
-    word: std::sync::atomic::AtomicU64,
-    /// Synthetic address feeding the sim cache model.
-    synth: usize,
-}
-
-impl NorecClock {
-    fn new() -> Self {
-        NorecClock {
-            word: std::sync::atomic::AtomicU64::new(0),
-            synth: nztm_sim::synth_alloc_as(128, nztm_sim::StructClass::Other),
-        }
-    }
 }
 
 /// Outcome of conflict resolution against one peer transaction.
@@ -405,9 +295,6 @@ pub struct NzStm<P: Platform, M: ModePolicy> {
     /// Per-thread counter cells, shared with each `ThreadCtx`. Read side
     /// of [`NzStm::stats_snapshot`] — safe to merge at any time.
     thread_stats: Box<[Arc<ThreadStats>]>,
-    /// NOrec's global sequence lock. Present in every engine (the struct
-    /// shape is mode-independent) but only touched when `M::NOREC`.
-    norec_clock: NorecClock,
     cfg: NzConfig,
     /// Runtime arming flag for the flight recorder.
     trace_on: std::sync::atomic::AtomicBool,
@@ -419,7 +306,7 @@ pub struct NzStm<P: Platform, M: ModePolicy> {
 impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     /// Assemble an engine from parts. [`crate::NzBuilder`] is the
     /// shorthand when the paper-default [`NzConfig`] (give or take the
-    /// read mode, contention manager and native-HTM policy) is wanted.
+    /// read mode and contention manager) is wanted.
     ///
     /// Panics when the platform has more than [`crate::MAX_THREADS`]
     /// threads: each object's reader bitmap has one bit per thread.
@@ -428,19 +315,16 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         crate::readers::assert_thread_limit(n);
         let thread_stats: Box<[Arc<ThreadStats>]> =
             (0..n).map(|_| Arc::new(ThreadStats::default())).collect();
-        let trace_capacity = cfg.trace.capacity;
-        let trace_on = std::sync::atomic::AtomicBool::new(cfg.trace.enabled);
         Arc::new(NzStm {
             platform,
             cm,
             registry: ThreadRegistry::new(n),
             threads: PerCore::new(n, |tid| {
-                ThreadCtx::new(tid, Arc::clone(&thread_stats[tid]), trace_capacity)
+                ThreadCtx::new(tid, Arc::clone(&thread_stats[tid]))
             }),
             thread_stats,
-            norec_clock: NorecClock::new(),
             cfg,
-            trace_on,
+            trace_on: std::sync::atomic::AtomicBool::new(false),
             #[cfg(feature = "sanitize")]
             san: crate::sanitizer::Sanitizer::new(),
             _mode: PhantomData,
@@ -493,13 +377,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     /// True when event capture is armed.
     pub fn tracing_enabled(&self) -> bool {
         self.trace_on.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Per-thread flight-recorder ring capacity in events
-    /// ([`TraceConfig::capacity`]), for recorders layered over this
-    /// engine.
-    pub fn trace_capacity(&self) -> usize {
-        self.cfg.trace.capacity
     }
 
     /// Drain every thread's event ring into one merged, time-ordered
@@ -657,14 +534,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         ctx.write_set.clear();
         ctx.read_index.clear();
         ctx.write_index.clear();
-        if M::NOREC {
-            ctx.norec_vals.clear();
-            ctx.norec_redo.clear();
-            // Sample the snapshot clock, waiting out any in-flight
-            // committer (odd clock) so the first reads cannot observe its
-            // partial write-back.
-            ctx.snapshot = self.norec_wait_even();
-        }
     }
 
     fn me(ctx: &ThreadCtx) -> &Arc<TxnDesc> {
@@ -683,9 +552,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     }
 
     fn commit(&self, ctx: &mut ThreadCtx, tid: usize) -> bool {
-        if M::NOREC {
-            return self.norec_commit(ctx, tid);
-        }
         let me_ptr = Arc::as_ptr(Self::me(ctx));
 
         // Invisible-read extension: validate the read set. Serialization
@@ -775,31 +641,11 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         me.acknowledge_abort();
         self.clear_reader_bits(ctx, tid);
         ctx.write_set.clear();
-        // Exhaustive by design (no `_` arm): adding an `AbortCause`
-        // variant without a counter must fail to compile, so every abort
-        // — including HTM-fallback-originated ones — is counted exactly
-        // once here and nowhere else.
-        match cause {
-            AbortCause::Requested => ctx.stats.aborts_requested.bump(),
-            AbortCause::SelfAbort => ctx.stats.aborts_self.bump(),
-            AbortCause::Validation => ctx.stats.aborts_validation.bump(),
-            AbortCause::Explicit => ctx.stats.aborts_explicit.bump(),
-            AbortCause::Htm => ctx.stats.aborts_htm.bump(),
-            AbortCause::ValueValidation => ctx.stats.aborts_value_validation.bump(),
-        }
+        ctx.stats.count_abort(cause);
         trace_evt!(self, ctx, tid, TxnAbort, ctx.serial, cause.code());
     }
 
     fn clear_reader_bits(&self, ctx: &mut ThreadCtx, tid: usize) {
-        if M::NOREC {
-            // NOrec reads never registered anywhere: drop the value log.
-            // (Calling `remove_reader` here would trip the sanitizer's
-            // reader-intactness check — and rightly so.)
-            ctx.read_set.clear();
-            ctx.norec_vals.clear();
-            ctx.norec_redo.clear();
-            return;
-        }
         if self.cfg.read_mode == ReadMode::Visible {
             while let Some(r) = ctx.read_set.pop() {
                 let h = r.obj.header();
@@ -937,7 +783,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                                 // One-shot barrier: after this, any
                                 // in-flight SCSS store by the victim has
                                 // completed and all future ones fail.
-                                self.platform.work(self.cfg.scss_cycles);
+                                self.platform.work(SCSS_CYCLES);
                                 other.with_scss_lock(|| {});
                                 return Ok(ConflictOutcome::Settled);
                             }
@@ -1050,7 +896,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                                 // AbortNowPlease and barriered (or will);
                                 // barrier ourselves and steal: every
                                 // further SCSS store by the victim fails.
-                                self.platform.work(self.cfg.scss_cycles);
+                                self.platform.work(SCSS_CYCLES);
                                 t.with_scss_lock(|| {});
                                 if self.try_install(ctx, tid, obj, raw, true, &guard)? {
                                     return Ok(ctx.write_set.len() - 1);
@@ -1254,7 +1100,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         #[cfg(not(feature = "sanitize"))]
         let _ = eager;
         ctx.stats.scss_stores.bump();
-        self.platform.work(self.cfg.scss_cycles);
+        self.platform.work(SCSS_CYCLES);
         let me = Self::me(ctx);
         let tid = me.thread;
         let ok = me.with_scss_lock(|| {
@@ -1504,9 +1350,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         tid: usize,
         obj: &Arc<NZObject<T>>,
     ) -> Result<T, Abort> {
-        if M::NOREC {
-            return self.norec_read(ctx, tid, obj);
-        }
         self.validate(ctx)?;
         ctx.stats.reads.bump();
         let me_ptr = Arc::as_ptr(Self::me(ctx));
@@ -1563,7 +1406,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                                     // SCSS: an ANP'd owner is as good as
                                     // aborted once barriered — its stores
                                     // can no longer land.
-                                    self.platform.work(self.cfg.scss_cycles);
+                                    self.platform.work(SCSS_CYCLES);
                                     t.with_scss_lock(|| {});
                                     match h
                                         .backup(&guard)
@@ -1659,9 +1502,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         obj: &Arc<NZObject<T>>,
         value: &T,
     ) -> Result<(), Abort> {
-        if M::NOREC {
-            return self.norec_write(ctx, obj, value);
-        }
         // Fast path: already acquired — no `Arc` clone, no owner-word
         // traffic, just an index hit and a self-validation. The clone for
         // the write-set entry happens at most once per object, inside
@@ -1719,238 +1559,8 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 self.platform.mem_nb(buf.addr(), n * 8, AccessKind::Write);
                 crate::data::write_words(buf.words(), &ctx.scratch);
             }
-            WriteTarget::Buffered { .. } => {
-                unreachable!("{} never buffers writes (NOrec-only target)", M::NAME)
-            }
         }
         self.validate(ctx)
-    }
-
-    // ------------------------------------------------------------------
-    // NOrec path (value validation + global sequence lock)
-    //
-    // Everything below is gated by `M::NOREC` at the lifecycle entry
-    // points (begin / read_value / write_value / commit /
-    // clear_reader_bits) and compiles out of the ownership modes. NOrec
-    // transactions never touch owner words, reader indicators, backups,
-    // or the AbortNowPlease handshake: the only shared metadata word is
-    // the global sequence clock.
-    // ------------------------------------------------------------------
-
-    /// Poll the global clock (one shared-line read in the cache model).
-    #[inline]
-    fn norec_clock_load(&self) -> u64 {
-        self.platform.mem(self.norec_clock.synth, 8, AccessKind::Read);
-        self.norec_clock.word.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Spin until the clock is even (no writer inside its commit
-    /// write-back window) and return it.
-    fn norec_wait_even(&self) -> u64 {
-        loop {
-            let t = self.norec_clock_load();
-            if t & 1 == 0 {
-                return t;
-            }
-            self.platform.spin_wait();
-        }
-    }
-
-    /// Value-based validation (NOrec's `Validate`): wait out any
-    /// in-flight committer, re-read every logged location and compare it
-    /// to the logged value, and succeed only if the clock did not move
-    /// during the scan — extending the snapshot to the scanned clock.
-    /// A mismatch means a committed writer overwrote something we read:
-    /// the attempt aborts with [`AbortCause::ValueValidation`].
-    fn norec_validate_extend(&self, ctx: &mut ThreadCtx, tid: usize) -> Result<(), Abort> {
-        ctx.stats.norec_validations.bump();
-        trace_evt!(self, ctx, tid, NorecValidate, ctx.snapshot, ctx.read_set.len() as u64);
-        loop {
-            let t = self.norec_wait_even();
-            for i in 0..ctx.read_set.len() {
-                let r = ctx.read_set.get(i).expect("index in range");
-                let (off, len) = norec_unpack(r.version);
-                self.platform.mem_nb(r.obj.data_addr(), len * 8, AccessKind::Read);
-                let words = r.obj.data_words();
-                let logged = &ctx.norec_vals[off..off + len];
-                let intact = words.len() == len
-                    && words
-                        .iter()
-                        .zip(logged)
-                        .all(|(w, v)| w.load(std::sync::atomic::Ordering::Relaxed) == *v);
-                if !intact {
-                    ctx.stats.conflicts.bump();
-                    return Err(Abort(AbortCause::ValueValidation));
-                }
-            }
-            if self.norec_clock_load() == t {
-                if t != ctx.snapshot {
-                    ctx.stats.norec_extensions.bump();
-                    trace_evt!(self, ctx, tid, NorecExtend, ctx.snapshot, t);
-                    ctx.snapshot = t;
-                }
-                return Ok(());
-            }
-            // A writer committed mid-scan; the values we compared may mix
-            // epochs. Rescan against the newer clock.
-        }
-    }
-
-    fn norec_read<T: TmData>(
-        &self,
-        ctx: &mut ThreadCtx,
-        tid: usize,
-        obj: &Arc<NZObject<T>>,
-    ) -> Result<T, Abort> {
-        ctx.stats.reads.bump();
-        let h = obj.header();
-        let key = header_key(h);
-        let n = T::n_words();
-
-        // Our own buffered write wins (read-your-writes).
-        if let Some(i) = ctx.write_index.get(key) {
-            let w = ctx.write_set.get(i as usize).expect("indexed write entry");
-            let WriteTarget::Buffered { off, len } = w.target else {
-                unreachable!("NOrec write entries are always Buffered")
-            };
-            debug_assert_eq!(len, n);
-            return Ok(T::decode(&ctx.norec_redo[off..off + len]));
-        }
-
-        // Re-read: return the logged value (opacity — the attempt keeps
-        // seeing exactly the state it validated, even if the location
-        // has since moved on).
-        if let Some(i) = ctx.read_index.get(key) {
-            let r = ctx.read_set.get(i as usize).expect("indexed read entry");
-            let (off, len) = norec_unpack(r.version);
-            debug_assert_eq!(len, n);
-            return Ok(T::decode(&ctx.norec_vals[off..off + len]));
-        }
-
-        // Fresh read: snapshot the data words, then make sure the clock
-        // stood still across the copy — if it moved, revalidate the whole
-        // read log (snapshot extension) and re-copy.
-        ctx.scratch.clear();
-        ctx.scratch.resize(n, 0);
-        loop {
-            self.platform.mem_nb(obj.data_addr(), n * 8, AccessKind::Read);
-            crate::data::snapshot_words(obj.data_words(), &mut ctx.scratch);
-            if self.norec_clock_load() == ctx.snapshot {
-                break;
-            }
-            self.norec_validate_extend(ctx, tid)?;
-        }
-        let off = ctx.norec_vals.len();
-        ctx.norec_vals.extend_from_slice(&ctx.scratch);
-        let any: Arc<dyn NzObjAny> = obj.clone();
-        ctx.read_index.insert(key, ctx.read_set.len() as u32);
-        ctx.read_set.push(ReadEntry { obj: any, version: norec_pack(off, n) });
-        Ok(T::decode(&ctx.scratch))
-    }
-
-    fn norec_write<T: TmData>(
-        &self,
-        ctx: &mut ThreadCtx,
-        obj: &Arc<NZObject<T>>,
-        value: &T,
-    ) -> Result<(), Abort> {
-        let key = header_key(obj.header());
-        let n = T::n_words();
-        ctx.scratch.clear();
-        ctx.scratch.resize(n, 0);
-        value.encode(&mut ctx.scratch);
-        if let Some(i) = ctx.write_index.get(key) {
-            let w = ctx.write_set.get(i as usize).expect("indexed write entry");
-            let WriteTarget::Buffered { off, len } = w.target else {
-                unreachable!("NOrec write entries are always Buffered")
-            };
-            debug_assert_eq!(len, n);
-            ctx.norec_redo[off..off + len].copy_from_slice(&ctx.scratch);
-            return Ok(());
-        }
-        // First write to this object: append a redo slot. Counted as an
-        // acquisition (one per object per attempt, like the ownership
-        // modes) even though nothing is owned until commit.
-        let off = ctx.norec_redo.len();
-        ctx.norec_redo.extend_from_slice(&ctx.scratch);
-        ctx.stats.acquires.bump();
-        let any: Arc<dyn NzObjAny> = obj.clone();
-        push_write(ctx, WriteEntry { obj: any, target: WriteTarget::Buffered { off, len: n } });
-        Ok(())
-    }
-
-    /// NOrec commit. Read-only attempts are already valid at their
-    /// snapshot and commit without touching the clock (NOrec's
-    /// read-only fast path). Writers CAS the clock from their snapshot
-    /// to odd (locking out other committers *and* proving no one
-    /// committed since the snapshot), write the redo log back, and
-    /// release the clock two ticks up.
-    fn norec_commit(&self, ctx: &mut ThreadCtx, tid: usize) -> bool {
-        if !ctx.write_set.is_empty() {
-            loop {
-                self.san_point(ctx, tid, crate::sanitizer::Point::CommitCas);
-                self.platform.mem(self.norec_clock.synth, 8, AccessKind::Rmw);
-                if self
-                    .norec_clock
-                    .word
-                    .compare_exchange(
-                        ctx.snapshot,
-                        ctx.snapshot + 1,
-                        std::sync::atomic::Ordering::AcqRel,
-                        std::sync::atomic::Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    break;
-                }
-                // Someone committed since our snapshot: revalidate (and
-                // extend) or abort on a value conflict.
-                if let Err(Abort(cause)) = self.norec_validate_extend(ctx, tid) {
-                    self.abort_txn(ctx, tid, cause);
-                    return false;
-                }
-            }
-        }
-        self.platform.mem(Self::me(ctx).addr(), 8, AccessKind::Rmw);
-        if !Self::me(ctx).try_commit() {
-            // Defensive only: no peer can find a NOrec descriptor (it is
-            // never published in owner words or reader indicators), so
-            // AbortNowPlease cannot arrive. Unlock and unwind anyway.
-            if !ctx.write_set.is_empty() {
-                self.norec_clock
-                    .word
-                    .store(ctx.snapshot, std::sync::atomic::Ordering::Release);
-            }
-            self.abort_txn(ctx, tid, AbortCause::Requested);
-            return false;
-        }
-        #[cfg(feature = "sanitize")]
-        self.san.commit_ok(Arc::as_ptr(Self::me(ctx)) as u64, tid as u32);
-        if !ctx.write_set.is_empty() {
-            // Locked: write the redo log back. Readers observing these
-            // stores see an odd clock and wait us out.
-            while let Some(w) = ctx.write_set.pop() {
-                let WriteTarget::Buffered { off, len } = w.target else {
-                    unreachable!("NOrec write entries are always Buffered")
-                };
-                self.platform.mem_nb(w.obj.data_addr(), len * 8, AccessKind::Write);
-                let words = w.obj.data_words();
-                for (k, word) in words.iter().enumerate() {
-                    word.store(
-                        ctx.norec_redo[off + k],
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                }
-            }
-            self.platform.mem(self.norec_clock.synth, 8, AccessKind::Write);
-            self.norec_clock
-                .word
-                .store(ctx.snapshot + 2, std::sync::atomic::Ordering::Release);
-        }
-        self.clear_reader_bits(ctx, tid);
-        ctx.stats.commits.bump();
-        trace_evt!(self, ctx, tid, TxnCommit, ctx.serial, 0);
-        true
     }
 }
 

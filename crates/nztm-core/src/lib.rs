@@ -16,8 +16,9 @@
 //!   writer's own AbortNowPlease flag (Single-Compare Single-Store,
 //!   emulated as a short atomic section).
 //! * [`Norec`] — NOrec (value-based validation, lazy redo writes, one
-//!   global sequence lock), run by the same engine behind the
-//!   [`ModePolicy::NOREC`] gate: the minimal-metadata reference point.
+//!   global sequence lock), a separate [`TmSys`] over the same objects:
+//!   the minimal-metadata reference point. It takes no descriptor,
+//!   registry slot or epoch pin.
 //! * [`hybrid`] — hooks for the NZTM hybrid (§2.4), used by the
 //!   `nztm-htm` crate's best-effort hardware path.
 //!
@@ -49,8 +50,8 @@
 //! Every engine exposes merged statistics via
 //! [`TmSys::stats_snapshot`] (safe at any
 //! time) and a [flight recorder](trace) of per-thread transaction events,
-//! armed at run time, that exports to JSON-lines and Chrome
-//! `trace_event` format (Perfetto).
+//! armed at run time, that exports to Chrome `trace_event` format
+//! (Perfetto).
 //!
 //! All engines are generic over [`nztm_sim::Platform`], so the same code
 //! runs on real threads ([`nztm_sim::Native`]) or on the deterministic
@@ -64,6 +65,7 @@ pub mod data;
 pub mod engine;
 pub mod hybrid;
 pub mod locator;
+pub mod norec;
 pub mod object;
 pub mod readers;
 pub mod registry;
@@ -78,9 +80,10 @@ pub use adt::{AdtOpDesc, AdtOpKind};
 pub use builder::{BackendKind, NzBuilder};
 pub use data::{FieldWord, TmData, WordArray};
 pub use engine::{
-    Blocking, ModePolicy, Nonblocking, NorecMode, NzConfig, NzStm, NzTx,
-    ReadMode, ScssMode, TraceConfig,
+    Blocking, ModePolicy, Nonblocking, NzConfig, NzStm, NzTx, ReadMode,
+    ScssMode,
 };
+pub use norec::{Norec, NorecTx};
 pub use object::{NZObject, NzObjAny, WordBuf};
 pub use readers::{ReaderIndicator, MAX_THREADS};
 pub use runtime::{Handle, ObjPool, TmSys};
@@ -94,5 +97,3 @@ pub type Bzstm<P> = NzStm<P, Blocking>;
 pub type Nzstm<P> = NzStm<P, Nonblocking>;
 /// The SCSS variant of §2.3.2.
 pub type NzstmScss<P> = NzStm<P, ScssMode>;
-/// NOrec: value-validated reads + redo log + global sequence lock.
-pub type Norec<P> = NzStm<P, NorecMode>;

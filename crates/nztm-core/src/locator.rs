@@ -50,10 +50,6 @@ impl Locator {
         &self.owner
     }
 
-    pub fn owner_arc(&self) -> &Arc<TxnDesc> {
-        &self.owner
-    }
-
     pub fn aborted_txn(&self) -> &TxnDesc {
         &self.aborted_txn
     }

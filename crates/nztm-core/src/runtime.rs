@@ -32,8 +32,8 @@ use std::sync::{Arc, OnceLock};
 /// *observability surface*: [`TmSys::stats_snapshot`] merges per-thread
 /// counters at any time, and [`TmSys::set_tracing`]/[`TmSys::take_trace`]
 /// drive the flight recorder ([`crate::trace`]) on engines that record
-/// events (BZSTM/NZSTM/SCSS and the hybrid; reference systems keep the
-/// no-op defaults).
+/// events (BZSTM/NZSTM/SCSS, NOrec and the hybrid; reference systems
+/// keep the no-op defaults).
 pub trait TmSys: Send + Sync + Sized + 'static {
     /// Container type for a transactional object holding a `T`.
     type Obj<T: TmData>: Send + Sync + 'static;

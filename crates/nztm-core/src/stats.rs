@@ -322,6 +322,22 @@ impl ThreadStats {
         for_each_stat!(zero);
     }
 
+    /// Count one abort under its cause. Exhaustive by design (no `_`
+    /// arm): adding an [`AbortCause`](crate::txn::AbortCause) variant
+    /// without a counter must fail to compile, so every abort is counted
+    /// exactly once, here and nowhere else.
+    pub(crate) fn count_abort(&self, cause: crate::txn::AbortCause) {
+        use crate::txn::AbortCause;
+        match cause {
+            AbortCause::Requested => self.aborts_requested.bump(),
+            AbortCause::SelfAbort => self.aborts_self.bump(),
+            AbortCause::Validation => self.aborts_validation.bump(),
+            AbortCause::Explicit => self.aborts_explicit.bump(),
+            AbortCause::Htm => self.aborts_htm.bump(),
+            AbortCause::ValueValidation => self.aborts_value_validation.bump(),
+        }
+    }
+
     /// Merge the per-thread cells of `threads` into one report. Safe to
     /// call from any thread at any time.
     pub fn merge_all<'a>(threads: impl IntoIterator<Item = &'a ThreadStats>) -> TmStats {

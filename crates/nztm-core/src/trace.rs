@@ -7,8 +7,8 @@
 //! that gap: each thread appends fixed-size binary [`TraceEvent`] records
 //! into a private overwrite-oldest ring ([`TraceRing`]), and after a run
 //! the rings are drained and merged into one time-ordered [`Trace`] that
-//! exports to JSON-lines or Chrome `trace_event` format (loadable in
-//! Perfetto / `chrome://tracing`).
+//! exports to Chrome `trace_event` format (loadable in Perfetto /
+//! `chrome://tracing`).
 //!
 //! ## Cost model
 //!
@@ -27,9 +27,26 @@
 //! failure timeline — and nanoseconds on native.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 use crate::txn::AbortCause;
+
+/// Per-thread ring capacity in events (overwrite-oldest beyond this),
+/// shared by every recorder in the workspace. A ring reserves memory only
+/// as it records.
+pub const RING_CAPACITY: usize = 1 << 16;
+
+/// Record a flight-recorder event into `$ctx.ring`. Recording requires
+/// runtime arming (`$sys.trace_on`) and costs one relaxed load when
+/// disarmed; the payload expressions are not evaluated unless armed.
+macro_rules! trace_evt {
+    ($sys:expr, $ctx:expr, $tid:expr, $kind:ident, $a:expr, $b:expr) => {{
+        if $sys.trace_on.load(std::sync::atomic::Ordering::Relaxed) {
+            let clock = $sys.platform.now();
+            $ctx.ring.record(clock, $tid as u16, crate::trace::EventKind::$kind, $a, $b);
+        }
+    }};
+}
+pub(crate) use trace_evt;
 
 /// What happened. Each variant documents how the generic payload words
 /// `a` and `b` of its [`TraceEvent`] are interpreted.
@@ -340,24 +357,6 @@ impl Trace {
         self.sort();
     }
 
-    /// Export as JSON-lines: one self-describing object per event.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 80);
-        for e in &self.events {
-            let _ = writeln!(
-                out,
-                "{{\"clock\":{},\"thread\":{},\"seq\":{},\"kind\":\"{}\",\"a\":{},\"b\":{}}}",
-                e.clock,
-                e.thread,
-                e.seq,
-                e.kind.name(),
-                e.a,
-                e.b
-            );
-        }
-        out
-    }
-
     /// Export in Chrome `trace_event` format (the JSON object form), as
     /// consumed by Perfetto and `chrome://tracing`.
     ///
@@ -659,21 +658,6 @@ mod tests {
         // The trailing open span on thread 1 gets a synthesized end.
         assert_eq!(json.matches("\"ph\":\"B\"").count(), json.matches("\"ph\":\"E\"").count());
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn jsonl_one_line_per_event() {
-        let t = Trace {
-            events: vec![
-                ev(1, 0, 0, EventKind::TxnBegin, 0, 0),
-                ev(2, 0, 1, EventKind::TxnCommit, 0, 0),
-            ],
-            overwritten: 0,
-        };
-        let s = t.to_jsonl();
-        assert_eq!(s.lines().count(), 2);
-        assert!(s.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-        assert!(s.contains("\"kind\":\"txn_begin\""));
     }
 
     #[test]

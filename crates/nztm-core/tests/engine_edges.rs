@@ -1,9 +1,12 @@
 //! Edge-case coverage for the engine: read-own-write through locators,
 //! read-to-write upgrades, backup-pool reuse, contention-manager
-//! plumbing, and statistics accounting.
+//! plumbing, and statistics accounting; plus NOrec's per-attempt
+//! footprint.
 
 use nztm_core::cm::{Aggressive, KarmaDeadlock, Timestamp};
-use nztm_core::{Blocking, ModePolicy, Nonblocking, NzConfig, NzStm, ReadMode, ScssMode};
+use nztm_core::{
+    Blocking, ModePolicy, Nonblocking, NzBuilder, NzConfig, NzStm, ReadMode, ScssMode,
+};
 use nztm_sim::Native;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -107,7 +110,8 @@ fn invisible_reader_commits_past_a_settled_locator() {
     // acknowledged, and a read-only invisible transaction must still
     // commit: its commit-time validation once rejected every inflated
     // object it did not own itself, so the reader retried forever.
-    let cfg = NzConfig { patience: 20, read_mode: ReadMode::Invisible, ..NzConfig::default() };
+    let mut cfg = NzConfig { patience: 20, ..NzConfig::default() };
+    cfg.read_mode = ReadMode::Invisible;
     let (p, s) = native::<Nonblocking>(2, cfg);
     let obj = s.new_obj(100u64);
     let acquired = AtomicBool::new(false);
@@ -283,4 +287,24 @@ fn update_helper_composes_with_reads() {
         Ok(())
     });
     assert_eq!(y.read_untracked(), 7);
+}
+
+/// NOrec takes no transaction descriptor: a thousand committed
+/// read-modify-write transactions allocate none.
+#[test]
+fn norec_commits_allocate_no_descriptor() {
+    let p = Native::new(1);
+    p.register_thread_as(0);
+    let s = NzBuilder::new(p).build_norec();
+    let obj = s.new_obj(0u64);
+    for _ in 0..1_000 {
+        s.run(|tx| {
+            let v = tx.read(&obj)?;
+            tx.write(&obj, &(v + 1))
+        });
+    }
+    let st = s.stats_snapshot();
+    assert_eq!(obj.read_untracked(), 1_000);
+    assert_eq!(st.commits, 1_000);
+    assert_eq!(st.descriptor_alloc, 0, "{st:?}");
 }

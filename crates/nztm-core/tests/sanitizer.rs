@@ -138,7 +138,7 @@ fn scss_clean_under_adversarial_schedules_native() {
 
 // ---------------------------------------------------------------------------
 // 2. Determinism: on the simulated machine, the same schedule seed must
-//    produce a byte-identical decision log (and machine handoff trace).
+//    produce a byte-identical decision log (and machine decisions).
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -146,7 +146,7 @@ fn same_seed_gives_byte_identical_schedule_on_sim() {
     let run = |seed: u64| {
         let m = Machine::new(MachineConfig::paper(3));
         let p = SimPlatform::new(Arc::clone(&m));
-        m.enable_trace();
+        m.enable_decisions();
         let stm = NzBuilder::new(Arc::clone(&p)).build_bzstm();
         stm.sanitizer().set_schedule(seed, 8);
         // Setup on core 0 (allocation charges the sim cache model).
@@ -183,7 +183,7 @@ fn same_seed_gives_byte_identical_schedule_on_sim() {
         (
             stm.sanitizer().decision_log(),
             stm.sanitizer().schedule_digest(),
-            m.schedule_trace().expect("trace enabled"),
+            m.decisions().expect("decisions enabled"),
         )
     };
 

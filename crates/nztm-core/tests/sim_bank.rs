@@ -5,7 +5,9 @@
 
 use nztm_core::cm::KarmaDeadlock;
 use nztm_core::{Blocking, ModePolicy, Nonblocking, NzConfig, NzStm, ReadMode, ScssMode};
-use nztm_sim::{CacheConfig, CostModel, DetRng, Machine, MachineConfig, Platform, SimPlatform};
+use nztm_sim::{
+    CacheConfig, CostModel, Decision, DetRng, Machine, MachineConfig, Platform, SimPlatform,
+};
 use std::sync::Arc;
 
 fn sim_machine(cores: usize, max_cycles: u64) -> Arc<Machine> {
@@ -25,8 +27,8 @@ struct SimRun {
     elapsed: u64,
     commits: u64,
     aborts: u64,
-    /// [`Machine::schedule_trace`]: every run-token handoff.
-    schedule: Vec<(u64, u32)>,
+    /// [`Machine::decisions`]: every scheduling decision.
+    schedule: Vec<Decision>,
 }
 
 /// Run the bank workload on the simulator (money conservation is
@@ -35,9 +37,10 @@ fn sim_bank<M: ModePolicy>(cores: usize, transfers: u64, read_mode: ReadMode, se
     const ACCOUNTS: usize = 4;
     const INITIAL: u64 = 1_000;
     let machine = sim_machine(cores, 2_000_000_000);
-    machine.enable_trace();
+    machine.enable_decisions();
     let platform = SimPlatform::new(Arc::clone(&machine));
-    let cfg = NzConfig { patience: 64, read_mode, ..NzConfig::default() };
+    let mut cfg = NzConfig { patience: 64, ..NzConfig::default() };
+    cfg.read_mode = read_mode;
     let stm: Arc<NzStm<SimPlatform, M>> =
         NzStm::new(Arc::clone(&platform), Arc::new(KarmaDeadlock::default()), cfg);
     let accounts: Arc<Vec<_>> = Arc::new((0..ACCOUNTS).map(|_| stm.new_obj(INITIAL)).collect());
@@ -78,7 +81,7 @@ fn sim_bank<M: ModePolicy>(cores: usize, transfers: u64, read_mode: ReadMode, se
         elapsed: report.makespan,
         commits: stats.commits,
         aborts: stats.aborts(),
-        schedule: machine.schedule_trace().expect("trace enabled"),
+        schedule: machine.decisions().expect("decisions enabled"),
     }
 }
 
@@ -119,8 +122,8 @@ fn sim_bank_seed_changes_timing() {
 
 /// Simulated time must not depend on what else the process is doing:
 /// two machines running concurrently on two OS threads, each twice with
-/// the same seed, reproduce a solo run cycle for cycle and handoff for
-/// handoff. Needs no sibling test to provide the interference, so it
+/// the same seed, reproduce a solo run cycle for cycle and decision for
+/// decision. Needs no sibling test to provide the interference, so it
 /// holds (or fails) the same under `--test-threads=1`.
 #[test]
 fn concurrent_machines_reproduce_the_solo_run() {
@@ -147,7 +150,7 @@ fn concurrent_machines_reproduce_the_solo_run() {
         let diverged = r.schedule.iter().zip(&solo.schedule).position(|(a, b)| a != b);
         assert!(
             r.schedule == solo.schedule,
-            "concurrent run {i}: schedule diverged from the solo run at handoff {diverged:?}"
+            "concurrent run {i}: schedule diverged from the solo run at decision {diverged:?}"
         );
     }
 }

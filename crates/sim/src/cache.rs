@@ -422,11 +422,6 @@ impl CacheSystem {
         AccessResult { latency, level, line, evicted, invalidated_remote }
     }
 
-    /// Whether `core`'s L1 currently holds `line` (any state).
-    pub fn l1_contains(&self, core: usize, line: LineAddr) -> bool {
-        self.l1[core].contains(line)
-    }
-
     /// Cost model in use.
     pub fn costs(&self) -> &CostModel {
         &self.costs

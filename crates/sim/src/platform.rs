@@ -109,9 +109,6 @@ pub struct Native {
     n_cores: usize,
     next_id: AtomicUsize,
     epoch: Instant,
-    /// Calibration: spin-loop iterations charged per "cycle" of `work`.
-    /// Zero disables work loops entirely (fastest; default).
-    pub work_spin: u64,
 }
 
 impl Native {
@@ -120,20 +117,6 @@ impl Native {
             n_cores,
             next_id: AtomicUsize::new(0),
             epoch: Instant::now(),
-            work_spin: 0,
-        })
-    }
-
-    /// Like [`Native::new`] but `work(c)` busy-spins `c * spin` iterations,
-    /// making the simulated notion of "non-transactional work" take real
-    /// time (used by workloads like kmeans where only ~10% of the run is
-    /// transactional).
-    pub fn with_work_spin(n_cores: usize, spin: u64) -> Arc<Self> {
-        Arc::new(Native {
-            n_cores,
-            next_id: AtomicUsize::new(0),
-            epoch: Instant::now(),
-            work_spin: spin,
         })
     }
 
@@ -156,11 +139,7 @@ impl Native {
 
 impl Platform for Native {
     #[inline]
-    fn work(&self, cycles: u64) {
-        for _ in 0..cycles.saturating_mul(self.work_spin) {
-            std::hint::spin_loop();
-        }
-    }
+    fn work(&self, _cycles: u64) {}
 
     #[inline]
     fn mem(&self, _addr: usize, _bytes: usize, _kind: AccessKind) {}

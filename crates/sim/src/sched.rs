@@ -64,12 +64,6 @@ impl MachineConfig {
         }
     }
 
-    /// An oversubscribed variant of [`MachineConfig::paper`]: `n` contexts
-    /// multiplexed onto `hw` physical cores.
-    pub fn paper_oversubscribed(n: usize, hw: usize) -> Self {
-        MachineConfig { hw_cores: hw, ..MachineConfig::paper(n) }
-    }
-
     /// Whether token handoffs pay the context-switch penalty.
     pub fn oversubscribed(&self) -> bool {
         self.hw_cores != 0 && self.n_cores > self.hw_cores
@@ -272,12 +266,6 @@ pub struct Machine {
     ///
     /// Contract: the callback must not recurse into `mem_access*`.
     snoop: Mutex<Option<Arc<SnoopFn>>>,
-    /// Run-token handoff trace (`None` until [`Machine::enable_trace`]):
-    /// one `(clock, core)` record per context switch, in switch order.
-    /// Because the scheduler is deterministic, two runs of the same
-    /// bodies must produce byte-identical traces — the replay check used
-    /// by the protocol sanitizer's stress harness.
-    trace: Mutex<Option<Vec<(u64, u32)>>>,
     /// Fast-path gate for per-structure attribution (see
     /// [`Machine::enable_attribution`]).
     attrib_on: AtomicBool,
@@ -329,7 +317,6 @@ impl Machine {
             line_map: Mutex::new(std::collections::HashMap::new()),
             next_line: AtomicU64::new(16), // skip "NULL page" lines
             snoop: Mutex::new(None),
-            trace: Mutex::new(None),
             attrib_on: AtomicBool::new(false),
             attrib: Mutex::new(None),
         })
@@ -364,25 +351,6 @@ impl Machine {
         }
     }
 
-    /// Start recording the run-token handoff schedule (cleared and
-    /// re-armed at the start of each [`Machine::run`]).
-    pub fn enable_trace(&self) {
-        *self.trace.lock() = Some(Vec::new());
-    }
-
-    /// The handoff trace of the last (or in-progress) run; `None` unless
-    /// [`Machine::enable_trace`] was called. Each record is `(publishing
-    /// core's clock at the switch, core the token moved to)`.
-    pub fn schedule_trace(&self) -> Option<Vec<(u64, u32)>> {
-        self.trace.lock().clone()
-    }
-
-    fn record_switch(&self, clock: u64, to: usize) {
-        if let Some(t) = self.trace.lock().as_mut() {
-            t.push((clock, to as u32));
-        }
-    }
-
     /// Install a scheduling policy for subsequent runs (policy state is
     /// re-derived at the start of every [`Machine::run`], so the same
     /// machine + policy replays the same schedule).
@@ -398,7 +366,9 @@ impl Machine {
     }
 
     /// Start recording one [`Decision`] per scheduling decision (cleared
-    /// and re-armed at the start of each run). Works at any core count;
+    /// and re-armed at the start of each run). Because the scheduler is
+    /// deterministic, two runs of the same bodies must record identical
+    /// decisions — the replay check the determinism tests use. Works at any core count;
     /// past 64 cores the recorded runnable mask covers only the first 64
     /// (see [`Decision::runnable`]).
     pub fn enable_decisions(&self) {
@@ -455,9 +425,6 @@ impl Machine {
             s.state.iter_mut().for_each(|st| *st = CoreState::Runnable);
             s.current = 0;
             s.reset_policy();
-        }
-        if let Some(t) = self.trace.lock().as_mut() {
-            t.clear();
         }
         if let Some(tbl) = self.attrib.lock().as_mut() {
             *tbl = [ClassStats::default(); StructClass::COUNT];
@@ -520,7 +487,6 @@ impl Machine {
         s.state[id] = CoreState::Done;
         if let Some(next) = s.pick_next(None) {
             self.charge_switch_in(&mut s, next);
-            self.record_switch(s.clocks[id], next);
             s.current = next;
             self.cv.notify_all();
         }
@@ -565,7 +531,6 @@ impl Machine {
         if next != id {
             self.charge_switch_in(&mut s, next);
             self.yields.fetch_add(1, Ordering::Relaxed);
-            self.record_switch(s.clocks[id], next);
             s.current = next;
             self.cv.notify_all();
             while s.current != id {
@@ -606,11 +571,6 @@ impl Machine {
         let id = self.core_id();
         let published = self.sched.lock().clocks[id];
         published + PENDING.with(|p| p.get())
-    }
-
-    /// Direct access to the cache system (for HTM capacity bookkeeping).
-    pub fn with_cache<R>(&self, f: impl FnOnce(&mut CacheSystem) -> R) -> R {
-        f(&mut self.cache.lock())
     }
 }
 
@@ -802,7 +762,7 @@ mod tests {
     fn schedule_trace_is_replayable() {
         let run_once = || {
             let m = tiny_machine(3);
-            m.enable_trace();
+            m.enable_decisions();
             let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..3)
                 .map(|i| {
                     let m = Arc::clone(&m);
@@ -815,27 +775,37 @@ mod tests {
                 })
                 .collect();
             m.run(bodies);
-            m.schedule_trace().expect("trace enabled")
+            m.decisions().expect("decisions enabled")
         };
         let a = run_once();
         let b = run_once();
-        assert!(!a.is_empty(), "multi-core run must context-switch");
-        assert_eq!(a, b, "same bodies, byte-identical handoff schedule");
+        assert!(!a.is_empty(), "multi-core run must make decisions");
+        assert_eq!(a, b, "same bodies, identical decisions");
     }
 
     #[test]
     fn trace_disabled_by_default_and_reset_between_runs() {
-        let m = tiny_machine(1);
-        let mc = Arc::clone(&m);
-        m.run(vec![Box::new(move || mc.work(1))]);
-        assert!(m.schedule_trace().is_none());
-        m.enable_trace();
-        let mc = Arc::clone(&m);
-        m.run(vec![Box::new(move || mc.work(1))]);
-        let first = m.schedule_trace().expect("armed");
-        let mc = Arc::clone(&m);
-        m.run(vec![Box::new(move || mc.work(1))]);
-        assert_eq!(m.schedule_trace().expect("still armed"), first);
+        let m = tiny_machine(2);
+        let run = |m: &Arc<Machine>| {
+            let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..2)
+                .map(|i| {
+                    let mc = Arc::clone(m);
+                    Box::new(move || {
+                        mc.work(i + 1);
+                        mc.yield_now();
+                    }) as Box<dyn FnOnce() + Send>
+                })
+                .collect();
+            m.run(bodies);
+        };
+        run(&m);
+        assert!(m.decisions().is_none());
+        m.enable_decisions();
+        run(&m);
+        let first = m.decisions().expect("armed");
+        assert!(!first.is_empty());
+        run(&m);
+        assert_eq!(m.decisions().expect("still armed"), first);
     }
 
     type LoggedBodies = (Vec<Box<dyn FnOnce() + Send>>, Arc<Mutex<Vec<usize>>>);

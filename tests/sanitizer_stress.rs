@@ -7,7 +7,7 @@
 //! feature; run with `cargo test -p nztm-bench --features sanitize`.
 //! On the simulated machine every run is seed-replayable: the test
 //! asserts that the same seed reproduces a byte-identical decision log,
-//! schedule digest, and machine handoff trace.
+//! schedule digest, and machine scheduling decisions.
 
 use nztm_core::cm::{KarmaDeadlock, Polite};
 use nztm_core::{NzBuilder, NzConfig, Nzstm, NzstmScss};
@@ -133,15 +133,15 @@ fn oversubscribed_64_thread_stress_is_sanitizer_clean_on_all_systems() {
 
 #[test]
 fn sim_stress_replays_byte_identically_for_all_software_systems() {
-    /// (decision log, schedule digest, machine handoff trace, makespan,
+    /// (decision log, schedule digest, machine decisions, makespan,
     /// commit count) — everything that must replay byte-identically.
-    type Replay = (Vec<(u32, &'static str)>, u64, Vec<(u64, u32)>, u64, u64);
+    type Replay = (Vec<(u32, &'static str)>, u64, Vec<nztm_sim::Decision>, u64, u64);
     type Runner = fn(u64) -> Replay;
 
     fn run_one<M: nztm_core::ModePolicy>(seed: u64) -> Replay {
         let m = Machine::new(MachineConfig::paper(3));
         let p = SimPlatform::new(Arc::clone(&m));
-        m.enable_trace();
+        m.enable_decisions();
         let stm: Arc<nztm_core::NzStm<SimPlatform, M>> = nztm_core::NzStm::new(
             Arc::clone(&p),
             Arc::new(KarmaDeadlock::default()),
@@ -158,7 +158,7 @@ fn sim_stress_replays_byte_identically_for_all_software_systems() {
                 .map(|s| (s.tid, s.point.name()))
                 .collect(),
             stm.sanitizer().schedule_digest(),
-            m.schedule_trace().expect("trace enabled"),
+            m.decisions().expect("decisions enabled"),
             report.makespan,
             st.commits,
         )
@@ -175,7 +175,7 @@ fn sim_stress_replays_byte_identically_for_all_software_systems() {
         assert!(!a.0.is_empty(), "{name}: decision points must fire");
         assert_eq!(a.0, b.0, "{name}: same seed must replay the decision log byte-identically");
         assert_eq!(a.1, b.1, "{name}: schedule digest");
-        assert_eq!(a.2, b.2, "{name}: machine handoff trace");
+        assert_eq!(a.2, b.2, "{name}: machine decisions");
         assert_eq!(a.3, b.3, "{name}: makespan");
         assert_eq!(a.4, b.4, "{name}: commit count");
     }
