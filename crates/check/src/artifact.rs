@@ -238,13 +238,6 @@ pub struct ReplayReport {
 /// Re-run an artifact's schedule and judge it.
 pub fn replay(art: &Artifact) -> Result<ReplayReport, String> {
     let mut cfg = art.cfg.clone();
-    if cfg.requires_sanitize() && !cfg!(feature = "sanitize") {
-        return Err(
-            "artifact needs fault injection / pause schedules / protocol-edge yield points: \
-             rebuild with `--features sanitize`"
-                .into(),
-        );
-    }
     cfg.policy = SchedPolicy::Replay { choices: Arc::new(art.choices.clone()) };
     let out = run_config(&cfg);
     Ok(match judge(&cfg, &out) {

@@ -159,7 +159,7 @@ fn main() {
         stages: 0,
     };
     println!(
-        "nztm-check {}: budget {budget_secs}s, artifacts to {} (sanitize: {})",
+        "nztm-check {}: budget {budget_secs}s, artifacts to {}",
         if tds_only {
             "tds"
         } else if deep {
@@ -168,7 +168,6 @@ fn main() {
             "smoke"
         },
         c.out_dir.display(),
-        cfg!(feature = "sanitize"),
     );
 
     if tds_only {
@@ -203,7 +202,6 @@ fn main() {
         }
         // Yield points sit on the NZ engine's protocol edges; NOrec has
         // none, so its stage would repeat its exhaustive transfer stage.
-        #[cfg(feature = "sanitize")]
         if backend != Backend::Norec {
             let mut yp = CheckConfig::transfer(backend);
             yp.yield_points = true;

@@ -196,12 +196,12 @@ pub struct CheckConfig {
     /// `(tid, cycles)`: the thread stalls that long inside its first
     /// transaction after acquiring (pause-owner-then-inflate).
     pub stall: Option<(usize, u64)>,
-    /// Seeded protocol fault (requires the `sanitize` feature).
+    /// Seeded protocol fault (the sanitizer's handshake bug).
     pub inject_handshake_bug: bool,
-    /// Sanitizer pause schedule `(seed, max_pause)` (requires `sanitize`).
+    /// Sanitizer pause schedule `(seed, max_pause)`.
     pub pause: Option<(u64, u64)>,
     /// Arm protocol-edge yield points (sanitizer schedule with a zero
-    /// pause budget; requires `sanitize`).
+    /// pause budget).
     pub yield_points: bool,
     /// Arm the engine flight recorder and collect a merged event trace
     /// in [`RunOutcome::trace`]. Not part of the artifact text format —
@@ -323,11 +323,6 @@ impl CheckConfig {
             ..CheckConfig::transfer(backend)
         }
     }
-
-    /// Whether this configuration needs the `sanitize` feature compiled in.
-    pub fn requires_sanitize(&self) -> bool {
-        self.inject_handshake_bug || self.pause.is_some() || self.yield_points
-    }
 }
 
 /// Everything one run produced.
@@ -343,7 +338,7 @@ pub struct RunOutcome {
     /// run died on the watchdog).
     pub final_values: Vec<u64>,
     pub stats: TmStats,
-    /// Sanitizer violations (always empty without the feature).
+    /// Sanitizer violations (always empty for NOrec, which has none).
     pub violations: Vec<String>,
     /// The run tripped the simulator watchdog (livelock/deadlock).
     pub watchdog: bool,
@@ -357,12 +352,6 @@ pub struct RunOutcome {
 
 /// Run one configuration on a fresh machine.
 pub fn run_config(cfg: &CheckConfig) -> RunOutcome {
-    #[cfg(not(feature = "sanitize"))]
-    assert!(
-        !cfg.requires_sanitize(),
-        "config needs fault injection / pause schedules / protocol-edge yield \
-         points: rebuild nztm-check with --features sanitize"
-    );
     let machine = Machine::new(MachineConfig {
         max_cycles: cfg.max_cycles,
         hw_cores: cfg.hw_cores,
@@ -391,16 +380,12 @@ pub fn run_config(cfg: &CheckConfig) -> RunOutcome {
     }
 }
 
-/// An NZ engine for `cfg`, with its sanitizer armed as the config asks.
+/// An NZ engine for `cfg`. Its sanitizer mirror is always armed; the
+/// fault, pauses and yield points are armed as the config asks.
 fn nz_engine<M: ModePolicy>(cfg: &CheckConfig, platform: &Arc<SimPlatform>) -> Arc<NzStm<SimPlatform, M>> {
-    #[cfg_attr(not(feature = "sanitize"), allow(unused_mut))]
-    let mut nzc = NzConfig { patience: cfg.patience, ..NzConfig::default() };
-    #[cfg(feature = "sanitize")]
-    {
-        nzc.inject_handshake_bug = cfg.inject_handshake_bug;
-    }
+    let nzc = NzConfig { patience: cfg.patience, ..NzConfig::default() };
     let stm = NzStm::new(Arc::clone(platform), cfg.cm.build(), nzc);
-    #[cfg(feature = "sanitize")]
+    stm.sanitizer().arm(cfg.inject_handshake_bug);
     if let Some((seed, max_pause)) = cfg.pause {
         stm.sanitizer().set_schedule(seed, max_pause);
     } else if cfg.yield_points || cfg.inject_handshake_bug {
@@ -411,14 +396,8 @@ fn nz_engine<M: ModePolicy>(cfg: &CheckConfig, platform: &Arc<SimPlatform>) -> A
     stm
 }
 
-#[cfg(feature = "sanitize")]
 fn collect_violations<P: nztm_sim::Platform, M: ModePolicy>(stm: &NzStm<P, M>) -> Vec<String> {
     stm.sanitizer().violations().iter().map(|v| format!("{}: {}", v.rule, v.detail)).collect()
-}
-
-#[cfg(not(feature = "sanitize"))]
-fn collect_violations<P: nztm_sim::Platform, M: ModePolicy>(_stm: &NzStm<P, M>) -> Vec<String> {
-    Vec::new()
 }
 
 /// The thread that performs the quiescent `ReadAll` snapshot.

@@ -24,10 +24,9 @@
 //! prefix and are written as self-contained text artifacts under
 //! `results/`, replayable with the `check_replay` bin.
 //!
-//! Build with `--features sanitize` to additionally run the protocol
-//! invariant mirror, arm protocol-edge yield points, inject seeded
-//! pause schedules, and enable fault injection
-//! (`inject_handshake_bug`).
+//! Every NZ-engine run also arms the protocol invariant mirror; configs
+//! can add protocol-edge yield points, seeded pause schedules, and fault
+//! injection (`inject_handshake_bug`).
 
 pub mod artifact;
 pub mod explore;

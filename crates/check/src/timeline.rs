@@ -81,13 +81,6 @@ pub struct TimelineReport {
 /// armed and render the result as an annotated timeline.
 pub fn render_artifact(art: &Artifact) -> Result<TimelineReport, String> {
     let mut cfg = art.cfg.clone();
-    if cfg.requires_sanitize() && !cfg!(feature = "sanitize") {
-        return Err(
-            "artifact needs fault injection / pause schedules / protocol-edge yield points: \
-             rebuild with `--features sanitize`"
-                .into(),
-        );
-    }
     cfg.policy = SchedPolicy::Replay { choices: Arc::new(art.choices.clone()) };
     cfg.trace = true;
     let out = run_config(&cfg);

@@ -1,4 +1,4 @@
-//! Fault injection end-to-end (requires `--features sanitize`): prove
+//! Fault injection end-to-end: prove
 //! the checker actually *catches* protocol bugs, and that a failure
 //! shrinks to a minimal artifact that replays deterministically.
 

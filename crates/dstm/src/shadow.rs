@@ -331,14 +331,7 @@ impl<P: Platform> ShadowStm<P> {
         me.acknowledge_abort();
         self.clear_reader_bits(ctx, tid);
         ctx.write_set.clear();
-        match cause {
-            AbortCause::Requested => ctx.stats.aborts_requested.bump(),
-            AbortCause::SelfAbort => ctx.stats.aborts_self.bump(),
-            AbortCause::Validation => ctx.stats.aborts_validation.bump(),
-            AbortCause::Explicit => ctx.stats.aborts_explicit.bump(),
-            AbortCause::Htm => ctx.stats.aborts_htm.bump(),
-            AbortCause::ValueValidation => ctx.stats.aborts_value_validation.bump(),
-        }
+        ctx.stats.count_abort(cause);
     }
 
     fn clear_reader_bits(&self, ctx: &mut ThreadCtx, tid: usize) {

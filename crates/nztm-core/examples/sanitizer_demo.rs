@@ -3,7 +3,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run -p nztm-core --features sanitize --example sanitizer_demo [seed]
+//! cargo run -p nztm-core --example sanitizer_demo [seed]
 //! ```
 //!
 //! First drives BZSTM through an adversarial schedule with the
@@ -59,11 +59,9 @@ fn main() {
     println!("\n== engine with injected handshake bug (requester forces victim status) ==");
     for s in seed.. {
         let p = Native::new(2);
-        let stm: Arc<Bzstm<Native>> = Bzstm::new(
-            Arc::clone(&p),
-            Arc::new(Aggressive),
-            NzConfig { inject_handshake_bug: true, ..NzConfig::default() },
-        );
+        let stm: Arc<Bzstm<Native>> =
+            Bzstm::new(Arc::clone(&p), Arc::new(Aggressive), NzConfig::default());
+        stm.sanitizer().arm(true);
         stm.sanitizer().set_schedule(s, 5);
         drive(&stm, &p);
         let violations = stm.sanitizer().violations();

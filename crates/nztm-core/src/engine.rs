@@ -29,6 +29,7 @@ use crate::data::TmData;
 use crate::locator::Locator;
 use crate::object::{NZHeader, NZObject, NzObjAny, OwnerRef, WordBuf};
 use crate::registry::ThreadRegistry;
+use crate::sanitizer::san_hook;
 use crate::stats::{ThreadStats, TmStats};
 use crate::trace::{trace_evt, Trace};
 use crate::txn::{Abort, AbortCause, Status, TxnDesc};
@@ -36,6 +37,7 @@ use crate::util::{Backoff, InlineVec, PerCore, SlotIndex};
 use nztm_epoch::Guard;
 use nztm_sim::{AccessKind, DetRng, Platform};
 use std::marker::PhantomData;
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
 /// Compile-time selection of the engine variant.
@@ -94,12 +96,6 @@ pub struct NzConfig {
     /// the victim unresponsive (ignored by `Blocking`).
     pub patience: u64,
     pub read_mode: ReadMode,
-    /// TEST-ONLY fault injection (`sanitize` builds): requesters force
-    /// the victim's `Status = Aborted` instead of waiting for the
-    /// acknowledgement — the §2.2 handshake violation the sanitizer
-    /// exists to catch.
-    #[cfg(feature = "sanitize")]
-    pub inject_handshake_bug: bool,
 }
 
 impl Default for NzConfig {
@@ -107,8 +103,6 @@ impl Default for NzConfig {
         NzConfig {
             patience: 128,
             read_mode: ReadMode::Visible,
-            #[cfg(feature = "sanitize")]
-            inject_handshake_bug: false,
         }
     }
 }
@@ -236,7 +230,6 @@ struct ThreadCtx {
     ring: crate::trace::TraceRing,
     /// Per-thread sanitizer pause stream, keyed by the schedule
     /// generation that derived it (re-split on `set_schedule`).
-    #[cfg(feature = "sanitize")]
     san_rng: Option<(u64, DetRng)>,
 }
 
@@ -255,7 +248,6 @@ impl ThreadCtx {
             stats,
             scratch: Vec::with_capacity(64),
             ring: crate::trace::TraceRing::new(crate::trace::RING_CAPACITY),
-            #[cfg(feature = "sanitize")]
             san_rng: None,
         }
     }
@@ -298,7 +290,7 @@ pub struct NzStm<P: Platform, M: ModePolicy> {
     cfg: NzConfig,
     /// Runtime arming flag for the flight recorder.
     trace_on: std::sync::atomic::AtomicBool,
-    #[cfg(feature = "sanitize")]
+    /// Protocol sanitizer; disarmed until a test arms it.
     san: crate::sanitizer::Sanitizer,
     _mode: PhantomData<M>,
 }
@@ -325,7 +317,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             thread_stats,
             cfg,
             trace_on: std::sync::atomic::AtomicBool::new(false),
-            #[cfg(feature = "sanitize")]
             san: crate::sanitizer::Sanitizer::new(),
             _mode: PhantomData,
         })
@@ -397,7 +388,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     }
 
     /// This engine's protocol sanitizer (see [`crate::sanitizer`]).
-    #[cfg(feature = "sanitize")]
     pub fn sanitizer(&self) -> &crate::sanitizer::Sanitizer {
         &self.san
     }
@@ -406,13 +396,21 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
     /// schedule-seeded pause (0..=max_pause `spin_wait`s) drawn from this
     /// thread's deterministic stream. On the simulated platform this
     /// deterministically reshapes the interleaving; on native threads it
-    /// injects jitter exactly where the protocol races live.
-    #[cfg(feature = "sanitize")]
+    /// injects jitter exactly where the protocol races live. Before
+    /// [`Sanitizer::set_schedule`](crate::sanitizer::Sanitizer::set_schedule)
+    /// this is one load.
+    #[inline(always)]
     fn san_point(&self, ctx: &mut ThreadCtx, tid: usize, point: crate::sanitizer::Point) {
         let generation = self.san.generation();
-        if generation == 0 {
-            return;
+        if generation != 0 {
+            self.san_pause(ctx, tid, point, generation);
         }
+    }
+
+    /// The scheduled half of [`NzStm::san_point`], kept out of line.
+    #[cold]
+    #[inline(never)]
+    fn san_pause(&self, ctx: &mut ThreadCtx, tid: usize, point: crate::sanitizer::Point, generation: u64) {
         self.san.log_step(tid as u32, point);
         let max_pause = self.san.max_pause();
         if max_pause == 0 {
@@ -435,11 +433,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             self.platform.spin_wait();
         }
     }
-
-    /// No-op twin so call sites need no `cfg` of their own.
-    #[cfg(not(feature = "sanitize"))]
-    #[inline(always)]
-    fn san_point(&self, _ctx: &mut ThreadCtx, _tid: usize, _point: crate::sanitizer::Point) {}
 
     // ------------------------------------------------------------------
     // Transaction lifecycle
@@ -526,8 +519,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         let desc = Arc::new(TxnDesc::new(tid as u32, ctx.serial));
         self.registry.publish(tid, &desc, guard);
         self.platform.mem(self.registry.slot_addr(tid), 8, AccessKind::Write);
-        #[cfg(feature = "sanitize")]
-        self.san.txn_begin(Arc::as_ptr(&desc) as u64, tid as u32, ctx.serial);
+        san_hook!(self, txn_begin(Arc::as_ptr(&desc) as u64, tid as u32, ctx.serial));
         trace_evt!(self, ctx, tid, TxnBegin, ctx.serial, 0);
         ctx.current = Some(desc);
         ctx.read_set.clear();
@@ -598,8 +590,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         let me = Self::me(ctx);
         self.platform.mem(me.addr(), 8, AccessKind::Rmw);
         if me.try_commit() {
-            #[cfg(feature = "sanitize")]
-            self.san.commit_ok(me_ptr as u64, tid as u32);
+            san_hook!(self, commit_ok(me_ptr as u64, tid as u32));
             self.cleanup_after_commit(ctx, tid);
             ctx.stats.commits.bump();
             trace_evt!(self, ctx, tid, TxnCommit, ctx.serial, 0);
@@ -633,8 +624,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         // The `ack` hook fires *before* the status CAS so that any peer
         // observing `Status = Aborted` is guaranteed to find the victim's
         // acknowledgement already recorded.
-        #[cfg(feature = "sanitize")]
-        self.san.ack(Arc::as_ptr(me) as u64, tid as u32);
+        san_hook!(self, ack(Arc::as_ptr(me) as u64, tid as u32));
         self.platform.mem(me.addr(), 8, AccessKind::Rmw);
         // Acknowledge: after this we never touch object data again; data
         // we wrote is restored lazily by the next acquirer (§2.2).
@@ -650,9 +640,8 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             while let Some(r) = ctx.read_set.pop() {
                 let h = r.obj.header();
                 self.platform.mem_nb(h.addr(), 8, AccessKind::Rmw);
-                let _intact = h.remove_reader(tid);
-                #[cfg(feature = "sanitize")]
-                self.san.reader_remove(h.addr(), tid, _intact);
+                let intact = h.remove_reader(tid);
+                san_hook!(self, reader_remove(h.addr(), tid, intact));
             }
         } else {
             ctx.read_set.clear();
@@ -692,18 +681,13 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         // (what `txn_begin`/`ack` report). `raw` is the *owner word* —
         // for a locator owner that is the tagged locator pointer, not the
         // descriptor — so hooks about `other` must use its own address.
-        #[cfg(feature = "sanitize")]
         let peer_key = other as *const TxnDesc as u64;
         let mut waited = 0u64;
         let mut traced_wait = false;
         loop {
             self.validate(ctx)?;
             self.platform.mem(other.addr(), 8, AccessKind::Read);
-            #[cfg(feature = "sanitize")]
-            {
-                let (st, anp) = other.state_snapshot();
-                self.san.observed_peer(peer_key, st, anp);
-            }
+            san_hook!(self, observed_peer(peer_key, other.status()));
             if other.status() != Status::Active || h.owner_raw() != raw {
                 Self::me(ctx).set_waiting(false);
                 return Ok(ConflictOutcome::Settled);
@@ -742,10 +726,8 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                     self.san_point(ctx, tid as usize, crate::sanitizer::Point::AnpSet);
                     self.platform.mem(other.addr(), 8, AccessKind::Rmw);
                     let prev = other.request_abort();
-                    #[cfg(feature = "sanitize")]
-                    self.san.anp_set(peer_key, prev == Status::Active);
-                    #[cfg(feature = "sanitize")]
-                    if self.cfg.inject_handshake_bug && prev == Status::Active {
+                    san_hook!(self, anp_set(peer_key, prev == Status::Active));
+                    if prev == Status::Active && self.san.handshake_bug() {
                         // FAULT INJECTION: force the victim's status from
                         // the requester's thread — the rule-3 bug the
                         // sanitizer must catch (no hook fires; detection
@@ -769,11 +751,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                     let mut acked_wait = 0u64;
                     loop {
                         self.platform.mem(other.addr(), 8, AccessKind::Read);
-                        #[cfg(feature = "sanitize")]
-                        {
-                            let (st, anp) = other.state_snapshot();
-                            self.san.observed_peer(peer_key, st, anp);
-                        }
+                        san_hook!(self, observed_peer(peer_key, other.status()));
                         if other.status() != Status::Active {
                             return Ok(ConflictOutcome::Settled);
                         }
@@ -818,9 +796,8 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                     trace_evt!(self, ctx, tid, Conflict, h.addr() as u64, crate::trace::pack_txn(t, d.serial));
                     self.san_point(ctx, tid, crate::sanitizer::Point::AnpSet);
                     self.platform.mem(d.addr(), 8, AccessKind::Rmw);
-                    let _prev = d.request_abort();
-                    #[cfg(feature = "sanitize")]
-                    self.san.anp_set(d as *const TxnDesc as u64, _prev == Status::Active);
+                    let prev = d.request_abort();
+                    san_hook!(self, anp_set(d as *const TxnDesc as u64, prev == Status::Active));
                     ctx.stats.abort_requests_sent.bump();
                 }
             }
@@ -970,21 +947,20 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         if !obj.header().cas_owner_to_txn(expected_raw, Self::me(ctx), guard) {
             return Ok(false);
         }
+        // Ownership before any in-place store (restore or eager write):
+        // a reader that copies one of them sees this owner on its
+        // re-check (pairs with `read_value`'s acquire fence).
+        fence(Ordering::Release);
         let h = obj.header();
-        #[cfg(feature = "sanitize")]
-        {
-            // Safety: `expected_raw` was loaded under `guard`, so the
-            // descriptor it names (if any) is still live here.
-            let prev_state = (expected_raw != 0)
-                .then(|| unsafe { &*(expected_raw as *const TxnDesc) }.state_snapshot());
-            self.san.owner_cas_txn(
-                h.addr(),
-                Arc::as_ptr(Self::me(ctx)) as u64,
-                expected_raw,
-                prev_state,
-                M::SCSS,
-            );
-        }
+        // Safety: `expected_raw` was loaded under `guard`, so the
+        // descriptor it names (if any) is still live here.
+        san_hook!(self, owner_cas_txn(
+            h.addr(),
+            Arc::as_ptr(Self::me(ctx)) as u64,
+            expected_raw,
+            (expected_raw != 0).then(|| unsafe { &*(expected_raw as *const TxnDesc) }.state_snapshot()),
+            M::SCSS,
+        ));
         h.bump_version();
         Self::me(ctx).gained_object();
         ctx.stats.acquires.bump();
@@ -1008,24 +984,10 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
             self.san_point(ctx, tid, crate::sanitizer::Point::Restore);
             self.platform.mem_nb(b.addr(), n * 8, AccessKind::Read);
             self.platform.mem_nb(obj.data_addr(), n * 8, AccessKind::Write);
-            #[cfg(feature = "sanitize")]
-            let scss_failures_before = ctx.stats.scss_failures.get();
-            self.store_words(ctx, obj.data_words(), b.words());
-            #[cfg(feature = "sanitize")]
-            {
-                // The restore must reproduce the pre-transaction bytes —
-                // unless SCSS skipped stores because our own abort was
-                // requested mid-restore (the next acquirer redoes it).
-                let complete = ctx.stats.scss_failures.get() == scss_failures_before;
-                let mut now = vec![0u64; n];
-                crate::data::snapshot_words(obj.data_words(), &mut now);
-                self.san.restored(h.addr(), &now, complete);
-                // The adopted buffer remains the undo source and still
-                // holds the pre-transaction contents.
-                let mut pre = vec![0u64; n];
-                crate::data::snapshot_words(b.words(), &mut pre);
-                self.san.backup_recorded(h.addr(), pre);
-            }
+            self.restore(ctx, h.addr(), obj.data_words(), b.words());
+            // The adopted buffer remains the undo source and still holds
+            // the pre-transaction contents.
+            san_hook!(self, backup_recorded(h.addr(), b.words()));
             braw
         } else {
             // Create a backup copy of the (valid) current data, in a
@@ -1052,12 +1014,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                     break;
                 }
             }
-            #[cfg(feature = "sanitize")]
-            {
-                let mut pre = vec![0u64; n];
-                crate::data::snapshot_words(buf.words(), &mut pre);
-                self.san.backup_recorded(h.addr(), pre);
-            }
+            san_hook!(self, backup_recorded(h.addr(), buf.words()));
             h.backup_raw()
         };
 
@@ -1086,6 +1043,24 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         }
     }
 
+    /// Restore an aborted owner's backup `src` into the in-place `dst`,
+    /// and show the sanitizer the result: it must reproduce the
+    /// pre-transaction bytes — unless SCSS skipped stores because our own
+    /// abort was requested mid-restore (the next acquirer redoes it).
+    fn restore(
+        &self,
+        ctx: &mut ThreadCtx,
+        h_addr: usize,
+        dst: &[std::sync::atomic::AtomicU64],
+        src: &[std::sync::atomic::AtomicU64],
+    ) {
+        let failures_before = self.san.is_armed().then(|| ctx.stats.scss_failures.get());
+        self.store_words(ctx, dst, src);
+        if let Some(before) = failures_before {
+            self.san.restored(h_addr, dst, ctx.stats.scss_failures.get() == before);
+        }
+    }
+
     /// The Single-Compare Single-Store: atomically { if my AbortNowPlease
     /// is clear, store }. Returns whether the store happened. An eager
     /// data write passes `eager`: the object's header address and the
@@ -1097,8 +1072,6 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         value: u64,
         eager: Option<(usize, u64)>,
     ) -> bool {
-        #[cfg(not(feature = "sanitize"))]
-        let _ = eager;
         ctx.stats.scss_stores.bump();
         self.platform.work(SCSS_CYCLES);
         let me = Self::me(ctx);
@@ -1111,9 +1084,8 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 // a writer whose ownership was stolen may find the
                 // object's backup word already taken by the thief, but
                 // none of its stores lands.
-                #[cfg(feature = "sanitize")]
                 if let Some((h_addr, backup_raw)) = eager {
-                    self.san.eager_write(h_addr, backup_raw);
+                    san_hook!(self, eager_write(h_addr, backup_raw));
                 }
                 word.store(value, std::sync::atomic::Ordering::Relaxed);
                 true
@@ -1177,14 +1149,12 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         self.san_point(ctx, tid, crate::sanitizer::Point::Inflate);
         self.platform.mem(h.addr(), 8, AccessKind::Rmw);
         if h.cas_owner_to_locator(unresp_raw, &loc, guard) {
-            #[cfg(feature = "sanitize")]
-            self.san.inflated(
+            san_hook!(self, inflated(
                 h.addr(),
                 (Arc::as_ptr(&loc) as u64) | crate::object::INFLATED_TAG,
-                Arc::as_ptr(Self::me(ctx)) as u64,
                 unresp_raw,
                 unresp.state_snapshot(),
-            );
+            ));
             ctx.stats.inflations.bump();
             trace_evt!(
                 self,
@@ -1255,12 +1225,11 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
         if !h.cas_owner_to_locator(raw, &mine, guard) {
             return Ok(false);
         }
-        #[cfg(feature = "sanitize")]
-        self.san.locator_replaced(
+        san_hook!(self, locator_replaced(
             h.addr(),
             (Arc::as_ptr(&mine) as u64) | crate::object::INFLATED_TAG,
             raw,
-        );
+        ));
         h.bump_version();
         Self::me(ctx).gained_object();
         ctx.stats.acquires.bump();
@@ -1287,12 +1256,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                     break;
                 }
             }
-            #[cfg(feature = "sanitize")]
-            {
-                let mut pre = vec![0u64; n];
-                crate::data::snapshot_words(mine.old_data().words(), &mut pre);
-                self.san.backup_recorded(h.addr(), pre);
-            }
+            san_hook!(self, backup_recorded(h.addr(), mine.old_data().words()));
             // 2. Owner := our transaction (untagged — deflated).
             self.san_point(ctx, tid, crate::sanitizer::Point::DeflateCas);
             self.platform.mem(h.addr(), 8, AccessKind::Rmw);
@@ -1307,26 +1271,14 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 self.validate(ctx)?;
                 return Ok(true);
             }
-            #[cfg(feature = "sanitize")]
-            self.san.deflated(
-                h.addr(),
-                me_ptr as u64,
-                my_loc_raw,
-                mine.aborted_txn().status(),
-            );
+            // As in `try_install`; this also covers the locator installs
+            // before it, which write only private buffers themselves.
+            fence(Ordering::Release);
+            san_hook!(self, deflated(h.addr(), me_ptr as u64, my_loc_raw, mine.aborted_txn().status()));
             // 3. Copy the backup back into the in-place data.
             self.san_point(ctx, tid, crate::sanitizer::Point::Restore);
             self.platform.mem_nb(obj.data_addr(), n * 8, AccessKind::Write);
-            #[cfg(feature = "sanitize")]
-            let scss_failures_before = ctx.stats.scss_failures.get();
-            self.store_words(ctx, obj.data_words(), mine.old_data().words());
-            #[cfg(feature = "sanitize")]
-            {
-                let complete = ctx.stats.scss_failures.get() == scss_failures_before;
-                let mut now = vec![0u64; n];
-                crate::data::snapshot_words(obj.data_words(), &mut now);
-                self.san.restored(h.addr(), &now, complete);
-            }
+            self.restore(ctx, h.addr(), obj.data_words(), mine.old_data().words());
             ctx.stats.deflations.bump();
             trace_evt!(self, ctx, tid, Deflate, h.addr() as u64, ctx.serial);
             push_write(ctx, WriteEntry {
@@ -1367,8 +1319,7 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 // per transaction, however many times it is read.
                 self.platform.mem(h.addr(), 8, AccessKind::Rmw);
                 h.add_reader(tid);
-                #[cfg(feature = "sanitize")]
-                self.san.reader_add(h.addr(), tid);
+                san_hook!(self, reader_add(h.addr(), tid));
                 let any: Arc<dyn NzObjAny> = obj.clone();
                 ctx.read_index.insert(key, ctx.read_set.len() as u32);
                 ctx.read_set.push(ReadEntry { obj: any, version: 0 });
@@ -1480,6 +1431,9 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                     }
                 }
             }
+            // Seqlock reader: keep the Relaxed copy ahead of the re-check
+            // (pairs with the release fence after each ownership CAS).
+            fence(Ordering::Acquire);
             self.platform.mem(h.addr(), 8, AccessKind::Read);
             if h.owner_raw() != o1 || h.version() != v1 {
                 continue; // somebody moved underneath us; retry
@@ -1525,14 +1479,12 @@ impl<P: Platform, M: ModePolicy> NzStm<P, M> {
                 // Yield-point annotation modeling preemption between the
                 // last validation and the in-place store — the window the
                 // §2.2 acknowledgement handshake exists to protect
-                // (deliberately *not* re-validated after; `sanitize`
-                // builds only, no-op otherwise).
+                // (deliberately *not* re-validated after; a no-op until a
+                // schedule is set).
                 self.san_point(ctx, tid, crate::sanitizer::Point::EagerWrite);
                 // Rule 2 for SCSS is checked inside `scss_store`.
-                #[cfg(feature = "sanitize")]
                 if !M::SCSS {
-                    self.san
-                        .eager_write(obj.header().addr(), obj.header().backup_raw());
+                    san_hook!(self, eager_write(obj.header().addr(), obj.header().backup_raw()));
                 }
                 self.platform.mem_nb(obj.data_addr(), n * 8, AccessKind::Write);
                 if M::SCSS {

@@ -31,7 +31,7 @@ use crate::trace::{trace_evt, Trace, TraceRing, RING_CAPACITY};
 use crate::txn::{Abort, AbortCause};
 use crate::util::{Backoff, PerCore, SlotIndex};
 use nztm_sim::{AccessKind, DetRng, Platform};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The global sequence lock, on its own cache line: every committer
@@ -222,6 +222,9 @@ impl<P: Platform> Norec<P> {
                     return Err(Abort(AbortCause::ValueValidation));
                 }
             }
+            // Seqlock reader: keep the Relaxed data loads ahead of the
+            // clock re-check (pairs with `commit`'s release fence).
+            fence(Ordering::Acquire);
             if self.clock_load() == t {
                 if t != ctx.snapshot {
                     stats.norec_extensions.bump();
@@ -263,6 +266,8 @@ impl<P: Platform> Norec<P> {
         loop {
             self.platform.mem_nb(obj.data_addr(), n * 8, AccessKind::Read);
             crate::data::snapshot_words(obj.data_words(), &mut ctx.scratch);
+            // Seqlock reader: see `validate_extend`.
+            fence(Ordering::Acquire);
             if self.clock_load() == ctx.snapshot {
                 break;
             }
@@ -322,7 +327,10 @@ impl<P: Platform> Norec<P> {
                 }
             }
             // Locked: readers observing these stores see an odd clock
-            // and wait us out.
+            // and wait us out. The fence keeps the Relaxed write-back
+            // behind the lock CAS for a reader that sees one of them
+            // (pairs with the readers' acquire fences).
+            fence(Ordering::Release);
             for w in &ctx.writes {
                 self.platform.mem_nb(w.obj.data_addr(), w.len * 8, AccessKind::Write);
                 crate::data::write_words(w.obj.data_words(), &ctx.redo[w.off..w.off + w.len]);

@@ -4,11 +4,10 @@
 //!
 //! The model checker (`nztm-modelcheck`) verifies a hand-written *model*
 //! of the protocol; this module instead instruments the production engine
-//! itself. Every [`NzStm`](crate::engine::NzStm) owns one `Sanitizer`
-//! (when the `sanitize` cargo feature is on); the engine fires hooks at
-//! the protocol's decision points and the sanitizer maintains a mirror of
-//! the protocol state it *should* be in, flagging any transition the
-//! paper forbids:
+//! itself. Every [`NzStm`](crate::engine::NzStm) owns one `Sanitizer`;
+//! the engine fires hooks at the protocol's decision points and, once
+//! armed, the sanitizer maintains a mirror of the protocol state it
+//! *should* be in, flagging any transition the paper forbids:
 //!
 //! 1. **Exactly one owner per object** — an owner-word CAS must displace
 //!    exactly the value the mirror believes is installed, and must never
@@ -34,9 +33,19 @@
 //!    words copied back by the next acquirer must equal the contents
 //!    recorded when the aborted owner installed its backup.
 //!
+//! ## Arming
+//!
+//! A fresh sanitizer is disarmed: the engine fires every hook through
+//! `san_hook!`, which loads one arming word and skips the hook, taking no
+//! lock, allocating nothing and calling no
+//! [`Platform`](nztm_sim::Platform) method, so a disarmed engine runs
+//! exactly the protocol's own steps. [`Sanitizer::arm`] turns the mirror
+//! on (optionally with the seeded handshake fault), and
+//! [`Sanitizer::set_schedule`] arms it too.
+//!
 //! ## Schedules
 //!
-//! [`Sanitizer::set_schedule`] arms a seeded perturbator: at every hooked
+//! [`Sanitizer::set_schedule`] also arms a seeded perturbator: at every hooked
 //! decision point the engine draws a pause length from a per-thread
 //! [`DetRng`](nztm_sim::DetRng) stream split from the schedule seed, and spins that many
 //! `spin_wait` steps. On the simulated platform this deterministically
@@ -56,8 +65,20 @@
 
 use crate::txn::Status;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
+
+/// Fire a sanitizer hook on `$sys.san`. Every engine hook goes through
+/// here: while the sanitizer is disarmed this is one relaxed load, and
+/// the arguments are not evaluated.
+macro_rules! san_hook {
+    ($sys:expr, $hook:ident($($arg:expr),* $(,)?)) => {{
+        if $sys.san.is_armed() {
+            $sys.san.$hook($($arg),*);
+        }
+    }};
+}
+pub(crate) use san_hook;
 
 /// A hooked protocol decision point (also the schedule-log alphabet).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,8 +171,15 @@ struct SanState {
     violations: Vec<Violation>,
 }
 
+/// Arming-word bit: the invariant mirror is on.
+const MIRROR: u8 = 1;
+/// Arming-word bit: requesters force a victim's `Status = Aborted`.
+const HANDSHAKE_BUG: u8 = 2;
+
 /// Per-engine protocol sanitizer. See module docs.
 pub struct Sanitizer {
+    /// [`MIRROR`] and [`HANDSHAKE_BUG`] bits; 0 means disarmed.
+    armed: AtomicU8,
     seed: AtomicU64,
     max_pause: AtomicU64,
     /// Bumped by `set_schedule`; 0 means "no schedule armed" (invariant
@@ -160,15 +188,11 @@ pub struct Sanitizer {
     state: Mutex<SanState>,
 }
 
-impl Default for Sanitizer {
-    fn default() -> Self {
-        Sanitizer::new()
-    }
-}
-
 impl Sanitizer {
-    pub fn new() -> Self {
+    /// A disarmed sanitizer.
+    pub(crate) fn new() -> Self {
         Sanitizer {
+            armed: AtomicU8::new(0),
             seed: AtomicU64::new(0),
             max_pause: AtomicU64::new(0),
             generation: AtomicU64::new(0),
@@ -176,43 +200,60 @@ impl Sanitizer {
         }
     }
 
-    // ---- schedule control -------------------------------------------------
+    // ---- arming and schedule control --------------------------------------
 
-    /// Arm the adversarial schedule: per-thread pause streams derived from
-    /// `seed`, each pause uniform in `0..=max_pause` spin steps. Clears
-    /// the decision log (but keeps mirror state and past violations; use
-    /// [`Sanitizer::reset`] between independent runs).
+    /// Arm the invariant mirror. Arm before the engine runs its first
+    /// transaction: the mirror only knows what it saw.
+    ///
+    /// `inject_handshake_bug` is TEST-ONLY fault injection: requesters
+    /// force the victim's `Status = Aborted` instead of waiting for the
+    /// acknowledgement — the §2.2 handshake violation the sanitizer
+    /// exists to catch.
+    pub fn arm(&self, inject_handshake_bug: bool) {
+        let bug = if inject_handshake_bug { HANDSHAKE_BUG } else { 0 };
+        self.armed.store(MIRROR | bug, Ordering::SeqCst);
+    }
+
+    /// Whether the mirror is on (the one load a disarmed hook site pays).
+    #[inline]
+    pub(crate) fn is_armed(&self) -> bool {
+        self.armed.load(Ordering::Relaxed) != 0
+    }
+
+    /// Whether the seeded handshake fault is armed.
+    #[inline]
+    pub(crate) fn handshake_bug(&self) -> bool {
+        self.armed.load(Ordering::Relaxed) & HANDSHAKE_BUG != 0
+    }
+
+    /// Arm the mirror and the adversarial schedule: per-thread pause
+    /// streams derived from `seed`, each pause uniform in
+    /// `0..=max_pause` spin steps. Clears the decision log (but keeps
+    /// mirror state and past violations).
     pub fn set_schedule(&self, seed: u64, max_pause: u64) {
+        self.armed.fetch_or(MIRROR, Ordering::SeqCst);
         self.seed.store(seed, Ordering::SeqCst);
         self.max_pause.store(max_pause, Ordering::SeqCst);
         self.lock().log.clear();
         self.generation.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Forget everything: mirror state, decision log, violations. The
-    /// armed schedule (seed/pauses) is kept.
-    pub fn reset(&self) {
-        let mut s = self.lock();
-        s.txns.clear();
-        s.objs.clear();
-        s.log.clear();
-        s.violations.clear();
+    /// The schedule generation; 0 until [`Sanitizer::set_schedule`].
+    #[inline]
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Relaxed)
     }
 
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-
-    pub fn schedule_seed(&self) -> u64 {
+    pub(crate) fn schedule_seed(&self) -> u64 {
         self.seed.load(Ordering::SeqCst)
     }
 
-    pub fn max_pause(&self) -> u64 {
+    pub(crate) fn max_pause(&self) -> u64 {
         self.max_pause.load(Ordering::SeqCst)
     }
 
     /// Append a decision-point step (no-op while no schedule is armed).
-    pub fn log_step(&self, tid: u32, point: Point) {
+    pub(crate) fn log_step(&self, tid: u32, point: Point) {
         if self.generation() == 0 {
             return;
         }
@@ -280,7 +321,7 @@ impl Sanitizer {
     }
 
     /// A fresh descriptor began an attempt.
-    pub fn txn_begin(&self, raw: u64, tid: u32, serial: u64) {
+    pub(crate) fn txn_begin(&self, raw: u64, tid: u32, serial: u64) {
         let raw = Self::txn_key(raw);
         let mut s = self.lock();
         // Descriptor reuse: a thread's TxnDesc only begins a new
@@ -298,7 +339,7 @@ impl Sanitizer {
     }
 
     /// The commit CAS succeeded.
-    pub fn commit_ok(&self, raw: u64, tid: u32) {
+    pub(crate) fn commit_ok(&self, raw: u64, tid: u32) {
         let raw = Self::txn_key(raw);
         let mut s = self.lock();
         let info = s.txns.entry(raw).or_default();
@@ -318,7 +359,7 @@ impl Sanitizer {
     /// The victim is acknowledging its own abort (hook fires *before* the
     /// status CAS, so observers that see `Aborted` always find
     /// `acked = true` here).
-    pub fn ack(&self, raw: u64, by_tid: u32) {
+    pub(crate) fn ack(&self, raw: u64, by_tid: u32) {
         let raw = Self::txn_key(raw);
         let mut s = self.lock();
         let info = s.txns.entry(raw).or_default();
@@ -335,7 +376,7 @@ impl Sanitizer {
 
     /// A peer's `AbortNowPlease` flag was set; `was_active` is the status
     /// `request_abort` linearized against.
-    pub fn anp_set(&self, victim_raw: u64, was_active: bool) {
+    pub(crate) fn anp_set(&self, victim_raw: u64, was_active: bool) {
         let victim_raw = Self::txn_key(victim_raw);
         if was_active {
             self.lock().txns.entry(victim_raw).or_default().anp_active = true;
@@ -345,7 +386,7 @@ impl Sanitizer {
     /// A thread observed a peer's settled state. Catches rule 3: a
     /// descriptor reading `Aborted` whose acknowledge path never ran was
     /// forced by someone else.
-    pub fn observed_peer(&self, raw: u64, status: Status, _anp: bool) {
+    pub(crate) fn observed_peer(&self, raw: u64, status: Status) {
         let raw = Self::txn_key(raw);
         if status != Status::Aborted {
             return;
@@ -370,7 +411,7 @@ impl Sanitizer {
     /// at hook time (None when `prev_raw == 0`); `scss` marks the §2.3.2
     /// engine, whose post-barrier steal from an `Active`+ANP owner is
     /// legal.
-    pub fn owner_cas_txn(
+    pub(crate) fn owner_cas_txn(
         &self,
         h_addr: usize,
         new_raw: u64,
@@ -394,11 +435,10 @@ impl Sanitizer {
     /// The owner word was CAS'd to a *fresh* locator (inflation).
     /// `unresp_state` is the unresponsive transaction's `(status, anp)`
     /// loaded at hook time.
-    pub fn inflated(
+    pub(crate) fn inflated(
         &self,
         h_addr: usize,
         loc_raw: u64,
-        _owner_raw: u64,
         unresp_raw: u64,
         unresp_state: (Status, bool),
     ) {
@@ -421,7 +461,7 @@ impl Sanitizer {
     }
 
     /// An inflated owner word was CAS'd to a replacement locator.
-    pub fn locator_replaced(&self, h_addr: usize, new_raw: u64, prev_raw: u64) {
+    pub(crate) fn locator_replaced(&self, h_addr: usize, new_raw: u64, prev_raw: u64) {
         let mut s = self.lock();
         Self::mirror_owner_update(&mut s, self, h_addr, prev_raw, new_raw);
     }
@@ -429,7 +469,7 @@ impl Sanitizer {
     /// The owner word was CAS'd from a locator back to a transaction
     /// (deflation step 2). `aborted_status` is the locator's
     /// `AbortedTransaction` status loaded at hook time.
-    pub fn deflated(&self, h_addr: usize, me_raw: u64, prev_loc_raw: u64, aborted_status: Status) {
+    pub(crate) fn deflated(&self, h_addr: usize, me_raw: u64, prev_loc_raw: u64, aborted_status: Status) {
         let mut s = self.lock();
         if aborted_status != Status::Aborted {
             let d = format!(
@@ -441,20 +481,21 @@ impl Sanitizer {
         Self::mirror_owner_update(&mut s, self, h_addr, prev_loc_raw, me_raw);
     }
 
-    /// A backup buffer holding `pre_txn` (the object's pre-transaction
-    /// contents) became the object's undo source.
-    pub fn backup_recorded(&self, h_addr: usize, pre_txn: Vec<u64>) {
-        self.lock().objs.entry(h_addr).or_default().pre_txn = Some(pre_txn);
+    /// A backup buffer whose `words` hold the object's pre-transaction
+    /// contents became the object's undo source.
+    pub(crate) fn backup_recorded(&self, h_addr: usize, words: &[AtomicU64]) {
+        self.lock().objs.entry(h_addr).or_default().pre_txn = Some(snapshot(words));
     }
 
-    /// An aborted owner's backup was restored into the in-place data;
-    /// `data_now` is the data contents after the copy. `complete` is
-    /// false when SCSS skipped stores (own ANP observed mid-restore — the
-    /// restore will be redone by the next acquirer, so no comparison).
-    pub fn restored(&self, h_addr: usize, data_now: &[u64], complete: bool) {
+    /// An aborted owner's backup was restored into the in-place `data`.
+    /// `complete` is false when SCSS skipped stores (own ANP observed
+    /// mid-restore — the restore will be redone by the next acquirer, so
+    /// no comparison).
+    pub(crate) fn restored(&self, h_addr: usize, data: &[AtomicU64], complete: bool) {
         if !complete {
             return;
         }
+        let data_now = snapshot(data);
         let mut s = self.lock();
         let Some(expected) = s.objs.get(&h_addr).and_then(|o| o.pre_txn.clone()) else {
             return;
@@ -471,13 +512,13 @@ impl Sanitizer {
     /// Thread `tid` registered as a visible reader of the object (mirror
     /// of [`crate::ReaderIndicator::add`]); fires after the indicator
     /// write, before the owner examination.
-    pub fn reader_add(&self, h_addr: usize, tid: usize) {
+    pub(crate) fn reader_add(&self, h_addr: usize, tid: usize) {
         self.lock().objs.entry(h_addr).or_default().readers.insert(tid);
     }
 
     /// Thread `tid` deregistered as a visible reader. `intact` is the
     /// indicator's own report: `tid`'s bit was still set at removal.
-    pub fn reader_remove(&self, h_addr: usize, tid: usize, intact: bool) {
+    pub(crate) fn reader_remove(&self, h_addr: usize, tid: usize, intact: bool) {
         let mut s = self.lock();
         let was_tracked = s.objs.entry(h_addr).or_default().readers.remove(&tid);
         if !was_tracked {
@@ -502,7 +543,7 @@ impl Sanitizer {
     /// An `Active` owner is about to store eagerly to in-place data;
     /// `backup_raw` is the object's backup word, or under SCSS the
     /// writer's own, checked once its store is sure to land.
-    pub fn eager_write(&self, h_addr: usize, backup_raw: u64) {
+    pub(crate) fn eager_write(&self, h_addr: usize, backup_raw: u64) {
         if backup_raw != 0 {
             return;
         }
@@ -559,9 +600,17 @@ impl Sanitizer {
     }
 }
 
+fn snapshot(words: &[AtomicU64]) -> Vec<u64> {
+    words.iter().map(|w| w.load(Ordering::Relaxed)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn words(v: &[u64]) -> Vec<AtomicU64> {
+        v.iter().map(|&w| AtomicU64::new(w)).collect()
+    }
 
     #[test]
     fn foreign_ack_is_flagged() {
@@ -578,7 +627,7 @@ mod tests {
         let s = Sanitizer::new();
         s.txn_begin(0x1000, 3, 7);
         s.ack(0x1000, 3);
-        s.observed_peer(0x1000, Status::Aborted, true);
+        s.observed_peer(0x1000, Status::Aborted);
         assert!(s.violations().is_empty());
     }
 
@@ -588,12 +637,12 @@ mod tests {
         s.txn_begin(0x2000, 1, 1);
         s.anp_set(0x2000, true);
         // Nobody ran ack(); a peer observes Aborted anyway.
-        s.observed_peer(0x2000, Status::Aborted, true);
+        s.observed_peer(0x2000, Status::Aborted);
         let v = s.violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "status-forced-by-requester");
         // Reported once, not per observation.
-        s.observed_peer(0x2000, Status::Aborted, true);
+        s.observed_peer(0x2000, Status::Aborted);
         assert_eq!(s.violations().len(), 1);
     }
 
@@ -604,7 +653,7 @@ mod tests {
         // an inflated owner word (tag bit set) would split one
         // transaction across two entries and fabricate violations.
         let s = Sanitizer::new();
-        s.observed_peer(0x2001, Status::Aborted, true);
+        s.observed_peer(0x2001, Status::Aborted);
     }
 
     #[test]
@@ -639,15 +688,15 @@ mod tests {
     #[test]
     fn restore_mismatch_is_flagged() {
         let s = Sanitizer::new();
-        s.backup_recorded(0x40, vec![1, 2, 3]);
-        s.restored(0x40, &[1, 2, 3], true);
+        s.backup_recorded(0x40, &words(&[1, 2, 3]));
+        s.restored(0x40, &words(&[1, 2, 3]), true);
         assert!(s.violations().is_empty());
-        s.restored(0x40, &[1, 9, 3], true);
+        s.restored(0x40, &words(&[1, 9, 3]), true);
         assert_eq!(s.violations()[0].rule, "restore-mismatch");
         // Incomplete (SCSS-skipped) restores are not compared.
         let s = Sanitizer::new();
-        s.backup_recorded(0x40, vec![1]);
-        s.restored(0x40, &[7], false);
+        s.backup_recorded(0x40, &words(&[1]));
+        s.restored(0x40, &words(&[7]), false);
         assert!(s.violations().is_empty());
     }
 
@@ -665,13 +714,13 @@ mod tests {
     fn inflation_requires_requested_victim() {
         let s = Sanitizer::new();
         s.txn_begin(0xB0, 1, 1);
-        s.inflated(0x40, 0xC1, 0xA0, 0xB0, (Status::Active, false));
+        s.inflated(0x40, 0xC1, 0xB0, (Status::Active, false));
         assert_eq!(s.violations()[0].rule, "inflation-names-unrequested-txn");
 
         let s = Sanitizer::new();
         s.txn_begin(0xB0, 1, 1);
         s.anp_set(0xB0, true);
-        s.inflated(0x40, 0xC1, 0xA0, 0xB0, (Status::Active, true));
+        s.inflated(0x40, 0xC1, 0xB0, (Status::Active, true));
         assert!(s.violations().is_empty());
     }
 
@@ -727,6 +776,42 @@ mod tests {
         t.log_step(1, Point::AwaitAck);
         assert_ne!(t.schedule_digest(), d1);
         assert!(t.replay_dump().contains("await-ack"));
+    }
+
+    #[test]
+    fn disarmed_engine_records_nothing() {
+        use nztm_sim::{Machine, MachineConfig, SimPlatform};
+        use std::sync::Arc;
+        // 1 000 contended NZSTM commits with nobody arming the sanitizer:
+        // every hook fires, and every hook returns at once.
+        let m = Machine::new(MachineConfig::paper(2));
+        let p = SimPlatform::new(Arc::clone(&m));
+        let stm = crate::NzBuilder::new(Arc::clone(&p)).build_nzstm();
+        let obj = stm.new_obj(0u64);
+        let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..2)
+            .map(|_| {
+                let stm = Arc::clone(&stm);
+                let obj = Arc::clone(&obj);
+                Box::new(move || {
+                    for _ in 0..500 {
+                        stm.run(|tx| tx.update(&obj, |v| *v += 1));
+                    }
+                }) as Box<dyn FnOnce() + Send>
+            })
+            .collect();
+        m.run(bodies);
+        let st = stm.stats_snapshot();
+        assert_eq!(st.commits, 1_000);
+        assert!(st.conflicts > 0, "the run must contend: {st:?}");
+        assert_eq!(obj.read_untracked(), 1_000);
+
+        let san = stm.sanitizer();
+        let s = san.lock();
+        assert!(s.txns.is_empty(), "{} transaction entries", s.txns.len());
+        assert!(s.objs.is_empty(), "{} object entries", s.objs.len());
+        drop(s);
+        assert!(san.violations().is_empty());
+        assert!(san.decision_log().is_empty());
     }
 
     #[test]

@@ -326,7 +326,7 @@ impl ThreadStats {
     /// arm): adding an [`AbortCause`](crate::txn::AbortCause) variant
     /// without a counter must fail to compile, so every abort is counted
     /// exactly once, here and nowhere else.
-    pub(crate) fn count_abort(&self, cause: crate::txn::AbortCause) {
+    pub fn count_abort(&self, cause: crate::txn::AbortCause) {
         use crate::txn::AbortCause;
         match cause {
             AbortCause::Requested => self.aborts_requested.bump(),

@@ -309,12 +309,12 @@ impl TxnDesc {
         self.waiting_flag.load(Ordering::SeqCst) != 0
     }
 
-    /// TEST-ONLY fault injection (`sanitize` builds): set `Status =
-    /// Aborted` *from a requester's thread*, violating the §2.2 rule that
-    /// only the victim acknowledges. Exists solely so the sanitizer's
-    /// structural detection of exactly this bug can be exercised
-    /// (`NzConfig::inject_handshake_bug`).
-    #[cfg(feature = "sanitize")]
+    /// TEST-ONLY fault injection: set `Status = Aborted` *from a
+    /// requester's thread*, violating the §2.2 rule that only the victim
+    /// acknowledges. Exists solely so the sanitizer's structural
+    /// detection of exactly this bug can be exercised; the engine calls
+    /// it only while [`Sanitizer::arm`](crate::sanitizer::Sanitizer::arm)
+    /// has armed the fault.
     pub(crate) fn force_abort_injected(&self) {
         loop {
             let cur = self.state.load(Ordering::SeqCst);

@@ -36,9 +36,6 @@ pub struct CostModel {
     pub htm_abort: u64,
     /// Per-word cost of the LogTM software abort handler's undo-log unroll.
     pub logtm_unroll_per_word: u64,
-    /// Cost of one SCSS operation (short hardware transaction wrapping a
-    /// single store) over and above the store itself.
-    pub scss_overhead: u64,
     /// Context-switch penalty charged to a context when it receives the
     /// execution token on an oversubscribed machine (more contexts than
     /// `hw_cores`): register/TLB state swap plus cold-ish L1 on re-entry.
@@ -59,7 +56,6 @@ impl Default for CostModel {
             htm_commit_per_store: 1,
             htm_abort: 50,
             logtm_unroll_per_word: 4,
-            scss_overhead: 25,
             ctx_switch: 1000,
         }
     }
@@ -80,7 +76,6 @@ impl CostModel {
             htm_commit_per_store: 0,
             htm_abort: 1,
             logtm_unroll_per_word: 1,
-            scss_overhead: 1,
             ctx_switch: 1,
         }
     }

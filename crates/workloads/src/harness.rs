@@ -11,8 +11,7 @@
 //! serializability check independent of the sanitizer's per-step
 //! invariants.
 //!
-//! Used by the `sanitizer_stress` suite (run with
-//! `cargo test --features sanitize`) across BZSTM, NZSTM, NZSTM+SCSS,
+//! Used by the `sanitizer_stress` suite across BZSTM, NZSTM, NZSTM+SCSS,
 //! and the NZTM hybrid, on both native threads and the deterministic
 //! simulated machine.
 
