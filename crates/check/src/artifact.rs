@@ -236,18 +236,18 @@ pub struct ReplayReport {
 }
 
 /// Re-run an artifact's schedule and judge it.
-pub fn replay(art: &Artifact) -> Result<ReplayReport, String> {
+pub fn replay(art: &Artifact) -> ReplayReport {
     let mut cfg = art.cfg.clone();
     cfg.policy = SchedPolicy::Replay { choices: Arc::new(art.choices.clone()) };
     let out = run_config(&cfg);
-    Ok(match judge(&cfg, &out) {
+    match judge(&cfg, &out) {
         Ok(()) => ReplayReport { reproduced: false, kind: "ok".into(), detail: String::new() },
         Err(e) => ReplayReport {
             reproduced: e.kind() == art.kind,
             kind: e.kind().into(),
             detail: e.detail(),
         },
-    })
+    }
 }
 
 #[cfg(test)]

@@ -53,50 +53,29 @@ fn main() {
         art.choices.len(),
         art.kind
     );
-    let reproduced = if timeline || perfetto.is_some() {
-        match render_artifact(&art) {
-            Ok(rep) => {
-                if timeline {
-                    print!("{}", rep.timeline);
+    let (reproduced, kind, detail) = if timeline || perfetto.is_some() {
+        let rep = render_artifact(&art);
+        if timeline {
+            print!("{}", rep.timeline);
+        }
+        if let Some(out) = perfetto {
+            match std::fs::write(&out, rep.outcome.trace.to_chrome_trace()) {
+                Ok(()) => println!("wrote Chrome trace to {out}"),
+                Err(e) => {
+                    eprintln!("check_replay: write {out}: {e}");
+                    std::process::exit(2);
                 }
-                if let Some(out) = perfetto {
-                    match std::fs::write(&out, rep.outcome.trace.to_chrome_trace()) {
-                        Ok(()) => println!("wrote Chrome trace to {out}"),
-                        Err(e) => {
-                            eprintln!("check_replay: write {out}: {e}");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                if rep.reproduced {
-                    println!("REPRODUCED: {} — {}", rep.kind, rep.detail);
-                } else {
-                    println!("NOT reproduced: got {} — {}", rep.kind, rep.detail);
-                }
-                rep.reproduced
-            }
-            Err(e) => {
-                eprintln!("check_replay: {e}");
-                std::process::exit(2);
             }
         }
+        (rep.reproduced, rep.kind, rep.detail)
     } else {
-        match replay(&art) {
-            Ok(rep) => {
-                if rep.reproduced {
-                    println!("REPRODUCED: {} — {}", rep.kind, rep.detail);
-                } else {
-                    println!("NOT reproduced: got {} — {}", rep.kind, rep.detail);
-                }
-                rep.reproduced
-            }
-            Err(e) => {
-                eprintln!("check_replay: {e}");
-                std::process::exit(2);
-            }
-        }
+        let rep = replay(&art);
+        (rep.reproduced, rep.kind, rep.detail)
     };
-    if !reproduced {
+    if reproduced {
+        println!("REPRODUCED: {kind} — {detail}");
+    } else {
+        println!("NOT reproduced: got {kind} — {detail}");
         std::process::exit(1);
     }
 }

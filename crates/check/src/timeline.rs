@@ -79,7 +79,7 @@ pub struct TimelineReport {
 
 /// Re-run an artifact's forced-choice schedule with the flight recorder
 /// armed and render the result as an annotated timeline.
-pub fn render_artifact(art: &Artifact) -> Result<TimelineReport, String> {
+pub fn render_artifact(art: &Artifact) -> TimelineReport {
     let mut cfg = art.cfg.clone();
     cfg.policy = SchedPolicy::Replay { choices: Arc::new(art.choices.clone()) };
     cfg.trace = true;
@@ -88,13 +88,13 @@ pub fn render_artifact(art: &Artifact) -> Result<TimelineReport, String> {
         Ok(()) => ("ok".to_string(), String::new()),
         Err(e) => (e.kind().to_string(), e.detail()),
     };
-    Ok(TimelineReport {
+    TimelineReport {
         reproduced: kind == art.kind,
         kind,
         detail,
         timeline: render_timeline(&out),
         outcome: out,
-    })
+    }
 }
 
 #[cfg(test)]

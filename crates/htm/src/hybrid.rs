@@ -555,4 +555,45 @@ mod tests {
         assert!(matches!(o.header().owner(&g), nztm_core::object::OwnerRef::None));
         hy.htm().uninstall();
     }
+
+    #[test]
+    fn hardware_repair_leaves_no_backup_to_restore_later() {
+        // The repair erases the aborted owner. Had it left the backup
+        // word set, the buffer (installer never committed) would stay
+        // usable: after a hardware write, a software acquirer that aborts
+        // between its owner CAS and its own backup install hands the next
+        // reader that stale buffer, and the committed write is lost.
+        use nztm_core::{TxnDesc, WordBuf};
+        let (m, _p, hy) = setup(1);
+        let o = hy.alloc(5u64);
+        {
+            let g = nztm_epoch::pin();
+            let dead = Arc::new(TxnDesc::new(0, 1));
+            assert!(o.header().cas_owner_to_txn(0, &dead, &g));
+            let backup = WordBuf::from_words(o.data_words()); // 5
+            assert!(o.header().cas_backup(0, Some(&backup), &g));
+            o.data_words()[0].store(999, std::sync::atomic::Ordering::SeqCst); // dirty
+            dead.request_abort();
+            dead.acknowledge_abort();
+        }
+        let (h2, o2) = (Arc::clone(&hy), Arc::clone(&o));
+        m.run(vec![Box::new(move || {
+            assert_eq!(h2.execute(|tx| NztmHybrid::read(tx, &o2)), 5, "repaired");
+            h2.execute(|tx| NztmHybrid::write(tx, &o2, &7));
+            {
+                // A software acquirer wins the owner CAS, then is asked
+                // to abort before it installs a backup, and acknowledges.
+                let g = nztm_epoch::pin();
+                let d = Arc::new(TxnDesc::new(0, 2));
+                assert!(o2.header().cas_owner_to_txn(0, &d, &g));
+                d.request_abort();
+                d.acknowledge_abort();
+            }
+            assert_eq!(h2.execute(|tx| NztmHybrid::read(tx, &o2)), 7, "the committed write survives");
+        })]);
+        let st = hy.stats_snapshot();
+        assert_eq!((st.htm_commits, st.fallbacks), (3, 0), "{st:?}");
+        assert_eq!(o.read_untracked(), 7);
+        hy.htm().uninstall();
+    }
 }

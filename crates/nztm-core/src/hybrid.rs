@@ -13,7 +13,12 @@
 //!   object on the spot: restores the backup if the last owner aborted,
 //!   deflates an inflated object whose chain is quiescent, and finally
 //!   sets the owner word to `NULL` "so subsequent hardware transactions
-//!   [need not] perform similar checks".
+//!   [need not] perform similar checks". The repair also detaches the
+//!   backup, so an unowned object never has one (the state a software
+//!   committer's release leaves too): a backup left behind would still
+//!   read as usable after a later hardware write, and the next software
+//!   acquirer that aborted before installing its own would bring the
+//!   stale buffer back.
 //! * A hardware **writer** must also abort on visible software readers.
 //!
 //! These routines are called from inside the emulated hardware
@@ -70,7 +75,7 @@ pub fn hw_examine_and_clean(
             Status::Committed => {
                 // Inert ownership: erase it so later hardware transactions
                 // skip these checks (§2.4).
-                let _ = header.cas_owner_to_null(raw, guard);
+                release(header, raw, guard);
                 HwCheck::Clean
             }
             Status::Aborted => {
@@ -82,7 +87,7 @@ pub fn hw_examine_and_clean(
                 {
                     copy_words(data, b.words());
                 }
-                let _ = header.cas_owner_to_null(raw, guard);
+                release(header, raw, guard);
                 HwCheck::Clean
             }
         },
@@ -99,7 +104,7 @@ pub fn hw_examine_and_clean(
             // to NULL — stronger than software deflation, which must keep
             // an owner because it may yet abort).
             copy_words(data, loc.current_data().words());
-            if header.cas_owner_to_null(raw, guard) {
+            if release(header, raw, guard) {
                 HwCheck::Clean
             } else {
                 // Somebody raced us; be conservative.
@@ -107,6 +112,20 @@ pub fn hw_examine_and_clean(
             }
         }
     }
+}
+
+/// Erase the settled owner `raw` and, if that succeeded, detach the
+/// backup buffer too (its release deferred through the epoch): the
+/// repaired data is in place, so no backup may outlive the owner.
+fn release(header: &NZHeader, raw: u64, guard: &Guard) -> bool {
+    if !header.cas_owner_to_null(raw, guard) {
+        return false;
+    }
+    let backup = header.backup_raw();
+    if backup != 0 {
+        let _ = header.cas_backup(backup, None, guard);
+    }
+    true
 }
 
 #[cfg(test)]
@@ -175,6 +194,7 @@ mod tests {
         );
         assert_eq!(o.read_untracked(), 10, "backup restored");
         assert!(matches!(o.header().owner(&g), OwnerRef::None));
+        assert_eq!(o.header().backup_raw(), 0, "backup detached with the owner");
     }
 
     #[test]

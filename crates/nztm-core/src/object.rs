@@ -25,17 +25,27 @@
 //!   [`TxnDesc`] when the low bit is clear; a pointer to a
 //!   [`Locator`] with the low bit set when the
 //!   object has been *inflated* (paper Figure 2: "The Owner's low order
-//!   bit indicates how the object is interpreted").
+//!   bit indicates how the object is interpreted"). A transaction owner
+//!   is live or aborted: a software transaction that commits clears its
+//!   own owner words, as the hybrid's hardware path clears settled ones
+//!   (§2.4). A committed owner is seen only in the window between its
+//!   commit and that release, or after a later acquirer displaced it.
 //! * **Backup Data** — points to the backup copy created by the last
 //!   acquiring writer; restored lazily if that writer aborted. Backup
 //!   buffers come from a per-thread pool and are reclaimed by successful
-//!   committers, reproducing the cache-locality property of §4.4.2.
+//!   committers, reproducing the cache-locality property of §4.4.2. An
+//!   unowned object has no backup: the committer takes its buffer back
+//!   before it releases the owner word, and the hardware repair detaches
+//!   the backup when it sets the owner to `NULL`.
 //! * **Readers** — visible-reader indicator, the read-sharing mechanism
 //!   referenced in §2/§2.4: the paper's inline bitmap word, one bit per
 //!   thread, which is why a TM system hosts at most
 //!   [`crate::readers::MAX_THREADS`] threads.
 //! * **Version** — bumped on each exclusive acquisition; only consumed by
 //!   the invisible-reader *extension*, ignored by the paper's algorithms.
+//!   The acquirer checks the version its bump displaced: an owner word
+//!   that went `0 → T → 0` between a writer's check and its CAS leaves
+//!   only the version behind.
 //! * **Clone()** — the paper stores a clone-function pointer; in Rust the
 //!   role is played by the `TmData` impl, monomorphized away.
 //!
@@ -322,8 +332,9 @@ impl NZHeader {
         self.cas_owner_raw(expected, new_raw | INFLATED_TAG, guard)
     }
 
-    /// CAS the owner word to NULL (used by the hybrid's hardware path to
-    /// erase settled owners, §2.4).
+    /// CAS the owner word to NULL: a committer releasing its own
+    /// ownership, or the hybrid's hardware path erasing a settled owner
+    /// (§2.4).
     pub fn cas_owner_to_null(&self, expected: u64, guard: &Guard) -> bool {
         self.cas_owner_raw(expected, 0, guard)
     }
@@ -450,8 +461,9 @@ impl NZHeader {
         self.version.load(Ordering::SeqCst)
     }
 
-    pub fn bump_version(&self) {
-        self.version.fetch_add(1, Ordering::SeqCst);
+    /// Bump the version; returns the version it replaced.
+    pub fn bump_version(&self) -> u64 {
+        self.version.fetch_add(1, Ordering::SeqCst)
     }
 }
 
@@ -734,8 +746,8 @@ mod tests {
     fn version_bumps() {
         let o = NZObject::new(0u64);
         assert_eq!(o.header().version(), 0);
-        o.header().bump_version();
-        o.header().bump_version();
+        assert_eq!(o.header().bump_version(), 0);
+        assert_eq!(o.header().bump_version(), 1);
         assert_eq!(o.header().version(), 2);
     }
 

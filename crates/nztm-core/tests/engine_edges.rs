@@ -4,6 +4,7 @@
 //! footprint.
 
 use nztm_core::cm::{Aggressive, KarmaDeadlock, Timestamp};
+use nztm_core::object::OwnerRef;
 use nztm_core::{
     Blocking, ModePolicy, Nonblocking, NzBuilder, NzConfig, NzStm, ReadMode, ScssMode,
 };
@@ -153,6 +154,27 @@ fn invisible_reader_commits_past_a_settled_locator() {
     let st = s.stats_snapshot();
     assert!(st.inflations > 0, "scenario must exercise the locator path: {st:?}");
     assert_eq!(obj.read_untracked(), 111);
+}
+
+/// A committed writer releases what it acquired: the header is left as
+/// §2.4's hardware repair leaves it, with no owner and no backup, so the
+/// next read dereferences no descriptor.
+#[test]
+fn committed_write_leaves_no_owner_and_no_backup() {
+    fn check<M: ModePolicy>() {
+        let (p, s) = native::<M>(1, NzConfig::default());
+        p.register_thread_as(0);
+        let obj = s.new_obj(1u64);
+        s.run(|tx| tx.update(&obj, |v| *v += 1));
+        let g = nztm_epoch::pin();
+        let h = obj.header();
+        assert!(matches!(h.owner(&g), OwnerRef::None), "{}: owner word still set", M::NAME);
+        assert_eq!(h.backup_raw(), 0, "{}: backup word still set", M::NAME);
+        assert_eq!(obj.read_untracked(), 2);
+    }
+    check::<Blocking>();
+    check::<Nonblocking>();
+    check::<ScssMode>();
 }
 
 #[test]

@@ -10,7 +10,7 @@
 
 use nztm_core::cm::{Aggressive, KarmaDeadlock, Polite};
 use nztm_core::engine::{ModePolicy, NzStm};
-use nztm_core::{Bzstm, NZObject, NzBuilder, NzConfig, Nzstm, NzstmScss};
+use nztm_core::{Bzstm, NZObject, NzBuilder, NzConfig, Nzstm, NzstmScss, ReadMode};
 use nztm_sim::{DetRng, Machine, MachineConfig, Native, Platform, SimPlatform};
 use std::sync::Arc;
 
@@ -365,7 +365,9 @@ fn abort_heavy_churn_keeps_restore_invariant() {
 // ---------------------------------------------------------------------------
 
 /// Native threads with one gate: once armed, thread 0's next yield point
-/// parks it until thread 1 has run a whole transaction.
+/// parks it until thread 1 has run a whole transaction. With a zero pause
+/// budget every decision point is a bare yield, so the gate parks thread
+/// 0 at the first decision point after arming.
 struct Gated {
     inner: Arc<Native>,
     armed: std::sync::atomic::AtomicBool,
@@ -407,8 +409,7 @@ fn stolen_scss_writer_is_not_flagged_for_a_missing_backup() {
         meet: std::sync::Barrier::new(2),
     });
     let stm = NzBuilder::new(Arc::clone(&p)).cm(Arc::new(Aggressive)).build_scss();
-    // A zero pause budget makes every decision point a bare yield, so
-    // the gate parks the victim exactly at its `EagerWrite` point.
+    // The gate parks the victim exactly at its `EagerWrite` point.
     stm.sanitizer().set_schedule(1, 0);
     p.inner.register_thread_as(0);
     let obj = stm.new_obj(0u64);
@@ -441,6 +442,55 @@ fn stolen_scss_writer_is_not_flagged_for_a_missing_backup() {
     assert_eq!(victim_attempts, 2, "the victim's first attempt was stolen from: {st:?}");
     assert!(st.scss_failures > 0, "the stolen store must fail: {st:?}");
     assert_eq!(obj.read_untracked(), 2);
+    let v = stm.sanitizer().violations();
+    assert!(v.is_empty(), "{v:?}\n{}", stm.sanitizer().replay_dump());
+}
+
+// ---------------------------------------------------------------------------
+// 7. The null-owner ABA that release at commit opens: an invisible-read
+//    writer checks the version with the object unowned, and before its
+//    owner CAS another transaction acquires, commits and releases. The
+//    owner word is 0 again, so `CAS(0 -> me)` succeeds; only the version
+//    the writer's bump displaces shows the lost read.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn invisible_writer_aborts_on_null_owner_aba() {
+    let p = Arc::new(Gated {
+        inner: Native::new(2),
+        armed: Default::default(),
+        meet: std::sync::Barrier::new(2),
+    });
+    let stm = NzBuilder::new(Arc::clone(&p)).read_mode(ReadMode::Invisible).build_nzstm();
+    // The gate parks the writer at its `OwnerCas` point.
+    stm.sanitizer().set_schedule(1, 0);
+    let obj = stm.new_obj(0u64);
+    let mut writer_attempts = 0;
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            p.inner.register_thread_as(0);
+            stm.run(|tx| {
+                writer_attempts += 1;
+                let v = tx.read(&obj)?;
+                // Reads reach no decision point: the next one is the
+                // owner CAS inside this write.
+                if writer_attempts == 1 {
+                    p.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+                }
+                tx.write(&obj, &(v + 1))
+            });
+        });
+        scope.spawn(|| {
+            p.inner.register_thread_as(1);
+            p.meet.wait();
+            stm.run(|tx| tx.update(&obj, |v| *v += 10));
+            p.meet.wait();
+        });
+    });
+    let st = stm.stats_snapshot();
+    assert_eq!(writer_attempts, 2, "the writer's first attempt read a stale value: {st:?}");
+    assert_eq!(st.aborts_validation, 1, "{st:?}");
+    assert_eq!(obj.read_untracked(), 11, "both increments land");
     let v = stm.sanitizer().violations();
     assert!(v.is_empty(), "{v:?}\n{}", stm.sanitizer().replay_dump());
 }
